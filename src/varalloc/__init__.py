@@ -1,82 +1,50 @@
-"""Exploration-free budget allocation for multi-group mean estimation."""
+"""Exploration-free budget allocation for multi-group mean estimation.
 
-from .allocation import (
-    AllocationPlan,
-    VarianceProfile,
-    adaptive_weight,
-    objective_rp,
-    optimal_allocation,
-    optimal_objective,
-    phase3_ucb_weights,
-    plugin_weights,
-    q_of_p,
-    regret,
-    round_allocation,
-    tau_nonadaptive,
-)
-from .arms import (
-    ArmSpec,
-    CanonicalEnv,
-    ContextSpec,
-    ContextualEnv,
-    Family,
-    NoiseRegime,
-    Regime,
-    ScriptedEnv,
-    gaussian_arm,
-    rademacher_arm,
-    reward_with_context,
-    sample_context,
-    sample_reward,
-    symmetric_beta_arm,
-)
-from .concentration import (
-    ConfidenceInterval,
-    MultiplicativeFactors,
-    RadiusPair,
-    ci_gsg,
-    ci_ssg,
-    delta_schedule,
-    radius_gaussian,
-    radius_gsg,
-    radius_ssg,
-    s_factors_gaussian,
-    s_factors_ssg,
-)
-from .estimation import (
-    RidgeState,
-    RunningMoments,
-    conditional_mse,
-    gamma_schedule,
-    residual_variance,
-    ridge_estimate,
-    ridge_update,
-    sample_variance,
-    update_moments,
-)
+The package namespace holds the entry points a user script needs; every other
+name lives in its submodule (allocation, arms, concentration, estimation,
+harness, policies, selftest).
+"""
+
+from .allocation import VarianceProfile, objective_rp, optimal_allocation
+from .arms import NoiseRegime, Regime, gaussian_arm
+from .concentration import radius_gaussian, radius_gsg, radius_ssg
+from .estimation import conditional_mse
 from .harness import (
-    BoundCurve,
     ExperimentConfig,
-    Row,
     bound_value,
-    load_config,
-    make_bound_curve,
-    oracle_best_allocation,
-    read_csv,
     run_experiment,
     slope_estimate,
     summarize,
-    write_csv,
 )
-from .policies import (
-    PolicyConfig,
-    PolicyTrace,
-    phase1_length,
-    phase2_schedule,
-    run_adaptive,
-    run_contextual,
-    run_nonadaptive,
-)
+from .policies import PolicyConfig, run_adaptive
 from .selftest import run_selftest
+
+__all__ = [
+    # allocation
+    "VarianceProfile",
+    "objective_rp",
+    "optimal_allocation",
+    # arms
+    "NoiseRegime",
+    "Regime",
+    "gaussian_arm",
+    # concentration
+    "radius_gaussian",
+    "radius_gsg",
+    "radius_ssg",
+    # estimation
+    "conditional_mse",
+    # harness
+    "ExperimentConfig",
+    "bound_value",
+    "run_experiment",
+    "slope_estimate",
+    "summarize",
+    # policies
+    "PolicyConfig",
+    "run_adaptive",
+    # selftest
+    "run_selftest",
+]
 
 __version__ = "0.1.0"

@@ -49,8 +49,8 @@ class VarianceProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "variances", tuple(float(v) for v in self.variances))
-        if not self.variances or any(v <= 0 for v in self.variances):
-            raise ConfigurationError("all variances must be positive")
+        if not self.variances or not all(math.isfinite(v) and v > 0 for v in self.variances):
+            raise ConfigurationError("all variances must be positive and finite")
         if self.lower_bound is not None and self.lower_bound > min(self.variances) + 1e-12:
             raise ConfigurationError("lower_bound exceeds the smallest variance")
         if self.proxy is not None and self.proxy < max(self.variances) - 1e-12:
@@ -137,7 +137,11 @@ def optimal_allocation(profile: VarianceProfile, p: float, horizon: int) -> Allo
 
 
 def objective_rp(counts, true_variances, p: float) -> float:
-    """p-norm of the per-group error vector {v_k / n_k}."""
+    """p-norm of the per-group error vector e = {v_k / n_k}.
+
+    Finite p is computed as max(e) * ||e / max(e)||_p, so e**p cannot
+    underflow to zero at large p.
+    """
     p = validate_norm_order(p)
     counts = np.asarray(counts, dtype=float)
     variances = np.asarray(true_variances, dtype=float)
@@ -146,9 +150,10 @@ def objective_rp(counts, true_variances, p: float) -> float:
     if np.any(counts < 1):
         raise ContractViolation("every count must be >= 1 for the objective")
     errors = variances / counts
+    top = float(errors.max())
     if math.isinf(p):
-        return float(errors.max())
-    return float((errors**p).sum() ** (1.0 / p))
+        return top
+    return top * float(((errors / top) ** p).sum() ** (1.0 / p))
 
 
 def optimal_objective(profile: VarianceProfile, p: float, horizon: int) -> float:

@@ -48,9 +48,9 @@ class ArmSpec:
     family_params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.variance > 0:
+        if not (math.isfinite(self.variance) and self.variance > 0):
             raise ConfigurationError(
-                f"arm variance must be positive, got {self.variance}"
+                f"arm variance must be positive and finite, got {self.variance}"
             )
         if self.family == Family.RADEMACHER and self.variance != 1.0:
             raise ConfigurationError("rademacher arm has variance exactly 1")
@@ -83,22 +83,19 @@ def symmetric_beta_arm(mean: float, shape: float) -> ArmSpec:
     return ArmSpec(Family.SYMMETRIC_BETA, mean, 1.0 / (2.0 * shape + 1.0), (shape,))
 
 
-def sample_reward(arm: ArmSpec, rng: np.random.Generator, size: int | None = None):
-    """Draw i.i.d. rewards from an arm.  Returns a float if size is None."""
-    n = 1 if size is None else int(size)
+def sample_reward(arm: ArmSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw `size` i.i.d. rewards from an arm."""
     if arm.family == Family.GAUSSIAN:
-        out = rng.normal(arm.mean, math.sqrt(arm.variance), n)
-    elif arm.family == Family.RADEMACHER:
-        out = arm.mean + (2.0 * rng.integers(0, 2, n) - 1.0)
-    elif arm.family == Family.SYMMETRIC_BETA:
+        return rng.normal(arm.mean, math.sqrt(arm.variance), size)
+    if arm.family == Family.RADEMACHER:
+        return arm.mean + (2.0 * rng.integers(0, 2, size) - 1.0)
+    if arm.family == Family.SYMMETRIC_BETA:
         a = arm.family_params[0]
-        out = arm.mean + (2.0 * rng.beta(a, a, n) - 1.0)
-    elif arm.family == Family.CUSTOM:
+        return arm.mean + (2.0 * rng.beta(a, a, size) - 1.0)
+    if arm.family == Family.CUSTOM:
         table = np.asarray(arm.family_params, dtype=float)
-        out = table[rng.integers(0, len(table), n)]
-    else:  # pragma: no cover
-        raise ConfigurationError(f"unknown family {arm.family}")
-    return out if size is not None else float(out[0])
+        return table[rng.integers(0, len(table), size)]
+    raise ConfigurationError(f"unknown family {arm.family}")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -114,22 +111,15 @@ class NoiseRegime:
                 raise ConfigurationError("GSG regime requires a positive variance proxy")
 
 
-class ContextFamily(str, Enum):
-    UNIFORM_HYPERCUBE = "uniform_hypercube"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class ContextSpec:
-    """Context distribution: dimension, norm bound, and second-moment floor.
+    """Context distribution: the uniform hypercube [-sqrt(3), sqrt(3)]^d.
 
-    The uniform hypercube is [-sqrt(3), sqrt(3)]^d, which has unit
-    per-coordinate variance, identity second moment, and lambda_min = 1.
+    It has unit per-coordinate variance, identity second moment, and
+    lambda_min = 1; lambda_min is the second-moment floor the policy assumes.
     """
 
     dimension: int
-    family: ContextFamily = ContextFamily.UNIFORM_HYPERCUBE
-    support_bound: float = 0.0
     lambda_min: float = 1.0
 
     def __post_init__(self):
@@ -137,45 +127,12 @@ class ContextSpec:
             raise ConfigurationError("context dimension must be >= 1")
         if self.lambda_min <= 0:
             raise ConfigurationError("lambda_min must be positive")
-        if self.support_bound == 0.0 and self.family == ContextFamily.UNIFORM_HYPERCUBE:
-            object.__setattr__(self, "support_bound", math.sqrt(3.0 * self.dimension))
 
 
-def sample_context(spec: ContextSpec, rng: np.random.Generator, size: int | None = None):
-    """Draw context vectors with ||c|| <= support_bound.
-
-    Returns shape (d,) if size is None, else (size, d).
-    """
-    n = 1 if size is None else int(size)
-    if spec.family == ContextFamily.UNIFORM_HYPERCUBE:
-        half = math.sqrt(3.0)
-        out = rng.uniform(-half, half, (n, spec.dimension))
-    else:
-        raise ConfigurationError("custom context families need a user-supplied sampler")
-    return out if size is not None else out[0]
-
-
-def reward_with_context(
-    beta: np.ndarray,
-    context: np.ndarray,
-    noise_arm: ArmSpec | None,
-    rng: np.random.Generator,
-) -> float:
-    """Linear reward beta . context plus one zero-mean noise draw.
-
-    noise_arm=None is the noise-free stub used in tests (eta identically 0).
-    """
-    beta = np.asarray(beta, dtype=float)
-    context = np.asarray(context, dtype=float)
-    if beta.shape != context.shape:
-        raise ContractViolation(
-            f"beta/context dimension mismatch: {beta.shape} vs {context.shape}"
-        )
-    if noise_arm is None:
-        return float(beta @ context)
-    if noise_arm.mean != 0.0:
-        raise ContractViolation("contextual noise arm must have mean 0")
-    return float(beta @ context) + sample_reward(noise_arm, rng)
+def sample_context(spec: ContextSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw `size` context vectors, shape (size, d), each with norm <= sqrt(3 d)."""
+    half = math.sqrt(3.0)
+    return rng.uniform(-half, half, (size, spec.dimension))
 
 
 def _substreams(seed, count: int) -> list[np.random.Generator]:
@@ -202,7 +159,7 @@ class CanonicalEnv:
 
     def pull(self, k: int, m: int = 1) -> np.ndarray:
         """Observe the next m rewards of arm k."""
-        return np.atleast_1d(sample_reward(self.arms[k], self._rngs[k], m))
+        return sample_reward(self.arms[k], self._rngs[k], m)
 
 
 class ContextualEnv:
@@ -267,29 +224,6 @@ class ContextualEnv:
         ctx = self._next_contexts(m)
         if self.noise_arms[k] is None:
             return ctx, ctx @ self.betas[k]
-        noise = np.atleast_1d(sample_reward(self.noise_arms[k], self._noise_rngs[k], m))
+        noise = sample_reward(self.noise_arms[k], self._noise_rngs[k], m)
         return ctx, ctx @ self.betas[k] + noise
 
-
-class ScriptedEnv:
-    """Test stub replaying fixed per-arm reward sequences."""
-
-    def __init__(self, sequences: list[list[float]], true_variances: list[float] | None = None):
-        self._seqs = [list(map(float, s)) for s in sequences]
-        self._pos = [0] * len(sequences)
-        self._vars = true_variances
-
-    @property
-    def num_arms(self) -> int:
-        return len(self._seqs)
-
-    @property
-    def true_variances(self):
-        return self._vars
-
-    def pull(self, k: int, m: int = 1) -> np.ndarray:
-        i = self._pos[k]
-        if i + m > len(self._seqs[k]):
-            raise ContractViolation(f"scripted sequence for arm {k} exhausted")
-        self._pos[k] = i + m
-        return np.asarray(self._seqs[k][i : i + m])

@@ -25,6 +25,7 @@ from .harness import (
     bound_value,
     load_config,
     oracle_best_allocation,
+    parse_p,
     read_csv,
     run_experiment,
     slope_estimate,
@@ -38,8 +39,13 @@ EXIT_IO = 3
 EXIT_CHECK = 4
 
 
-def _parse_p(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
+def _variances(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _add_common_overrides(sub):
@@ -107,10 +113,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    variances = tuple(float(v) for v in args.profile.split(","))
-    p = _parse_p(args.p)
-    best = oracle_best_allocation(variances, p, args.T)
+    variances, p = args.profile, args.p
     plan = optimal_allocation(VarianceProfile(variances), p, args.T)
+    best = oracle_best_allocation(variances, p, args.T)
     value_best = objective_rp(best, variances, p)
     value_plan = objective_rp(plan.counts, variances, p)
     print(f"exhaustive optimum : {best}  objective {value_best:.6g}")
@@ -165,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.set_defaults(func=_cmd_bounds)
 
     oracle = sub.add_parser("oracle", help="exhaustive small-instance check")
-    oracle.add_argument("profile", help="comma-separated variances, e.g. 1,4")
-    oracle.add_argument("--p", default="inf")
+    oracle.add_argument("profile", type=_variances, help="comma-separated variances, e.g. 1,4")
+    oracle.add_argument("--p", type=parse_p, default="inf")
     oracle.add_argument("--T", type=int, default=30)
     oracle.set_defaults(func=_cmd_oracle)
 

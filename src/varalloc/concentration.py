@@ -62,34 +62,24 @@ def _f_ssg(n: int) -> float:
     return (1.0 + math.sqrt((n - 1.0) / 8.0)) / math.sqrt(n)
 
 
-def _radii(n: int, delta: float, scale: float, f: float, symmetric: bool) -> RadiusPair:
+def _radii(n: int, delta: float, scale: float, f: float) -> RadiusPair:
     log_term = math.log(1.0 / delta)
     lead = 4.0 * scale * f * math.sqrt(2.0 * log_term / (n - 1.0))
     plus = lead + 6.0 * scale * log_term / n
-    if symmetric:
-        return RadiusPair(eps_minus=plus, eps_plus=plus)
     minus = lead + 13.0 * scale * log_term / (3.0 * n)
     return RadiusPair(eps_minus=minus, eps_plus=plus)
 
 
-def radius_gsg(
-    n: int, delta: float, sigma_sq_proxy: float, symmetric: bool = False
-) -> RadiusPair:
-    """Two-sided radii under a known subgaussian variance proxy.
-
-    symmetric=True uses the single constant 6 on both tails instead of the
-    tighter 13/3 lower-tail constant.
-    """
+def radius_gsg(n: int, delta: float, sigma_sq_proxy: float) -> RadiusPair:
+    """Two-sided radii under a known subgaussian variance proxy."""
     _check(n, delta)
-    return _radii(n, delta, sigma_sq_proxy, _f_gsg(n), symmetric)
+    return _radii(n, delta, sigma_sq_proxy, _f_gsg(n))
 
 
-def radius_ssg(
-    n: int, delta: float, sigma_sq_hat_or_true: float, symmetric: bool = False
-) -> RadiusPair:
+def radius_ssg(n: int, delta: float, sigma_sq_hat_or_true: float) -> RadiusPair:
     """Strictly-subgaussian radii scaled by the (estimated or true) variance."""
     _check(n, delta)
-    return _radii(n, delta, sigma_sq_hat_or_true, _f_ssg(n), symmetric)
+    return _radii(n, delta, sigma_sq_hat_or_true, _f_ssg(n))
 
 
 def radius_gaussian(n: int, delta: float, sigma_x_sq: float) -> RadiusPair:
@@ -103,9 +93,9 @@ def radius_gaussian(n: int, delta: float, sigma_x_sq: float) -> RadiusPair:
     )
 
 
-def s_factors_ssg(n: int, delta: float, symmetric: bool = False) -> MultiplicativeFactors:
+def s_factors_ssg(n: int, delta: float) -> MultiplicativeFactors:
     """Strictly-subgaussian radii per unit variance."""
-    r = radius_ssg(n, delta, 1.0, symmetric)
+    r = radius_ssg(n, delta, 1.0)
     return MultiplicativeFactors(s_minus=r.eps_minus, s_plus=r.eps_plus)
 
 

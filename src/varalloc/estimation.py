@@ -56,15 +56,6 @@ class RunningMoments:
         return self.m2 / (self.n - 1)
 
 
-def update_moments(m: RunningMoments, x: float) -> RunningMoments:
-    """Functional alias for RunningMoments.update."""
-    return m.update(x)
-
-
-def sample_variance(m: RunningMoments) -> float:
-    return m.sample_variance()
-
-
 def gamma_schedule(lambda_min: float, n: int) -> float:
     """Ridge penalty lambda_min / n used by the contextual policy."""
     if n < 1:
@@ -153,18 +144,6 @@ class RidgeState:
             )
         r = self.rewards - self.contexts @ np.asarray(beta_hat, dtype=float)
         return float(((r - r.mean()) ** 2).sum()) / (self.n - 1)
-
-
-def ridge_update(s: RidgeState, c: np.ndarray, x: float) -> RidgeState:
-    return s.update(c, x)
-
-
-def ridge_estimate(s: RidgeState, gamma: float) -> np.ndarray:
-    return s.estimate(gamma)
-
-
-def residual_variance(s: RidgeState, beta_hat: np.ndarray) -> float:
-    return s.residual_variance(beta_hat)
 
 
 def conditional_mse(

@@ -13,6 +13,7 @@ import configparser
 import csv
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -188,18 +189,14 @@ def bound_value(
     )
 
 
-def oracle_best_allocation(
-    variances, p: float, horizon: int, num_arms: int | None = None
-) -> tuple[int, ...]:
+def oracle_best_allocation(variances, p: float, horizon: int) -> tuple[int, ...]:
     """Exhaustively minimize the objective over positive integer allocations.
 
     Only for desk-scale instances (T <= 60, K <= 4); ties resolve to the
     lexicographically smallest allocation.
     """
     variances = tuple(float(v) for v in variances)
-    k = len(variances) if num_arms is None else num_arms
-    if k != len(variances):
-        raise ConfigurationError("num_arms must match the variance profile")
+    k = len(variances)
     if horizon > 60 or k > 4:
         raise InstanceTooLargeError(
             f"exhaustive search limited to T <= 60, K <= 4 (got T={horizon}, K={k})"
@@ -288,6 +285,8 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
+        if self.workers < 1:
+            raise ConfigurationError("workers must be >= 1")
         validate_norm_order(self.p)
         horizons = tuple(sorted(set(int(t) for t in self.horizons)))
         if not horizons:
@@ -453,8 +452,9 @@ def _worker(args) -> Row:
 def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     """Run every (horizon, trial) cell; rows come back sorted by key."""
     tasks = [(cfg, t, i) for t in cfg.horizons for i in range(cfg.trials)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, tasks, chunksize=8))
     else:
         rows = [_run_one(*task) for task in tasks]
@@ -531,7 +531,8 @@ def read_csv(path: str) -> list[Row]:
     return rows
 
 
-def _parse_p(text: str) -> float:
+def parse_p(text: str) -> float:
+    """Norm order from text: a number, or inf / infinity."""
     return math.inf if text.strip().lower() in ("inf", "infinity") else float(text)
 
 
@@ -545,8 +546,8 @@ def _parse_value_spec(text: str):
     return tuple(float(x) for x in text.split())
 
 
-def load_config(path: str, **overrides) -> ExperimentConfig:
-    """Read a flat sectioned key-value experiment file; overrides win."""
+def load_config(path: str) -> ExperimentConfig:
+    """Read a flat sectioned key-value experiment file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
@@ -569,7 +570,7 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
             horizons=tuple(int(t) for t in exp.get("horizons", "").split()),
             trials=int(exp.get("trials", "100")),
             seed=int(exp.get("seed", "0")),
-            p=_parse_p(exp.get("p", "inf")),
+            p=parse_p(exp.get("p", "inf")),
             regime=exp.get("regime", "gsg"),
             bound=exp.get("bound", "") or None,
             output=exp.get("output", "") or None,
@@ -595,11 +596,11 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigurationError(f"bad value in {path}: {exc}") from exc
-    kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """Replace the fields whose override is not None; the config is re-validated."""
     overrides = {k: v for k, v in overrides.items() if v is not None}
     return replace(cfg, **overrides) if overrides else cfg
 

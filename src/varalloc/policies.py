@@ -41,9 +41,7 @@ from .concentration import (
     ci_gsg,
     ci_ssg,
     delta_schedule,
-    radius_gaussian,
     radius_gsg,
-    radius_ssg,
     s_factors_gaussian,
     s_factors_ssg,
 )
@@ -161,7 +159,10 @@ class _CIEngine:
         self.good = True if truth is not None else None
 
     def evaluate(self, k: int, n: int, sigma_sq_hat: float):
-        """Returns (lcb, ucb, phase1_ok); ucb is inf while undefined."""
+        """Returns (lcb, ucb, phase1_ok); ucb is inf while undefined.
+
+        Clears the good event when the true variance falls outside [lcb, ucb].
+        """
         if self.override is not None:
             ci = self.override(k, n, sigma_sq_hat)
             lcb, ucb, ok = ci.lcb, ci.ucb, ci.lcb > 0.0
@@ -187,25 +188,6 @@ class _CIEngine:
             if not (lcb <= v <= ucb):
                 self.good = False
         return lcb, ucb, ok
-
-    def record_deviation(self, k: int, n: int, sigma_sq_hat: float):
-        """Good-event check for the non-adaptive policy: deviation within radii."""
-        if self.good is None:
-            return
-        v = self.truth[k]
-        if self.override is not None:
-            ci = self.override(k, n, sigma_sq_hat)
-            if not (ci.lcb <= v <= ci.ucb):
-                self.good = False
-            return
-        if self.regime.regime == Regime.GSG:
-            r = radius_gsg(n, self.delta, self.regime.sigma_sq_proxy)
-        elif self.regime.regime == Regime.SSG:
-            r = radius_ssg(n, self.delta, v)
-        else:
-            r = radius_gaussian(n, self.delta, v)
-        if not (-r.eps_minus <= sigma_sq_hat - v <= r.eps_plus):
-            self.good = False
 
 
 class _CanonicalRun:
@@ -341,7 +323,7 @@ def run_nonadaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
         run.draw(k, tau)
     sigma_hats = [run.sigma_hat(k) for k in range(k_arms)]
     for k in range(k_arms):
-        ci_engine.record_deviation(k, tau, sigma_hats[k])
+        ci_engine.evaluate(k, tau, sigma_hats[k])  # good-event bookkeeping only
 
     try:
         weights = plugin_weights(sigma_hats, q)

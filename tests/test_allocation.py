@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varalloc import (
+from varalloc.allocation import (
     AllocationPlan,
     VarianceProfile,
     adaptive_weight,
@@ -121,6 +121,15 @@ class TestObjectiveAndRegret:
         counts = rng.multinomial(horizon - k, [1 / k] * k) + 1
         plan = AllocationPlan((1.0 / k,) * k, tuple(int(c) for c in counts), horizon)
         assert regret(plan, profile, p) >= -1e-12
+
+    @pytest.mark.parametrize("p", [200.0, 1000.0])
+    def test_large_finite_p_does_not_underflow(self, p):
+        profile = VarianceProfile((1.0, 2.0))
+        plan = AllocationPlan((0.5, 0.5), (500_000, 500_000), 1_000_000)
+        errors = np.asarray(profile.variances) / np.asarray(plan.counts)
+        assert objective_rp(plan.counts, profile.variances, p) >= errors.max()
+        optimal = optimal_objective(profile, p, plan.horizon)
+        assert regret(plan, profile, p) >= -1e-12 * optimal
 
 
 class TestWeights:
@@ -247,3 +256,8 @@ class TestTypeInvariants:
     def test_profile_rejects_nonpositive_variance(self):
         with pytest.raises(ConfigurationError):
             VarianceProfile((1.0, 0.0))
+
+    @pytest.mark.parametrize("variance", [math.nan, math.inf])
+    def test_profile_rejects_non_finite_variance(self, variance):
+        with pytest.raises(ConfigurationError):
+            VarianceProfile((1.0, variance))

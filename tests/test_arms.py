@@ -5,25 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from varalloc import (
+from varalloc.arms import (
     ArmSpec,
     CanonicalEnv,
     ContextSpec,
     ContextualEnv,
     Family,
+    NoiseRegime,
+    Regime,
     gaussian_arm,
     rademacher_arm,
-    reward_with_context,
     sample_context,
     sample_reward,
     symmetric_beta_arm,
 )
-from varalloc.errors import ConfigurationError, ContractViolation
+from varalloc.errors import ConfigurationError
 
 
 def test_zero_variance_rejected():
     with pytest.raises(ConfigurationError):
         gaussian_arm(0.0, 0.0)
+
+
+@pytest.mark.parametrize("variance", [math.nan, math.inf])
+def test_non_finite_variance_rejected(variance):
+    with pytest.raises(ConfigurationError):
+        gaussian_arm(0.0, variance)
 
 
 def test_bad_beta_shape_rejected():
@@ -120,7 +127,7 @@ def test_hypercube_contexts_bounded():
     draws = sample_context(spec, np.random.default_rng(1), 10_000)
     assert draws.shape == (10_000, 4)
     assert np.all(np.abs(draws) <= math.sqrt(3.0))
-    assert np.all(np.linalg.norm(draws, axis=1) <= spec.support_bound + 1e-12)
+    assert np.all(np.linalg.norm(draws, axis=1) <= math.sqrt(3.0 * 4) + 1e-12)
 
 
 def test_hypercube_unit_second_moment():
@@ -136,23 +143,21 @@ def test_context_determinism():
     np.testing.assert_array_equal(a, b)
 
 
-def test_reward_with_context_inner_product():
-    rng = np.random.default_rng(0)
-    assert reward_with_context([1.0, 2.0], [3.0, 1.0], None, rng) == 5.0
-    assert reward_with_context([1.0], [-1.0], None, rng) == -1.0
+def test_contextual_env_inner_product():
+    betas = np.array([[1.0, 2.0]])
+    env = ContextualEnv(betas, ContextSpec(dimension=2), [None], 0, contexts=[[3.0, 1.0]])
+    _, rewards = env.pull(0, 1)
+    assert rewards.tolist() == [5.0]
 
 
-def test_reward_with_context_dimension_mismatch():
-    with pytest.raises(ContractViolation):
-        reward_with_context([1.0, 2.0], [3.0], None, np.random.default_rng(0))
+def test_contextual_env_rejects_dimension_mismatch():
+    with pytest.raises(ConfigurationError):
+        ContextualEnv(np.ones((1, 2)), ContextSpec(dimension=1), [None], 0)
 
 
-def test_reward_with_context_noise_moments():
-    rng = np.random.default_rng(4)
-    noise = gaussian_arm(0.0, 1.0)
-    beta = np.zeros(3)
-    c = np.ones(3)
-    draws = np.array([reward_with_context(beta, c, noise, rng) for _ in range(20_000)])
+def test_contextual_env_noise_moments():
+    env = ContextualEnv(np.zeros((1, 3)), ContextSpec(dimension=3), [gaussian_arm(0.0, 1.0)], 4)
+    _, draws = env.pull(0, 20_000)
     assert abs(draws.mean()) < 0.03
     assert draws.var(ddof=1) == pytest.approx(1.0, rel=0.05)
 
@@ -165,15 +170,11 @@ def test_contextual_env_linear_rewards():
     assert env.true_variances is None
 
 
-def test_reward_with_context_rejects_biased_noise():
-    with pytest.raises(ContractViolation):
-        reward_with_context(
-            [1.0], [1.0], gaussian_arm(0.5, 1.0), np.random.default_rng(0)
-        )
+def test_contextual_env_rejects_biased_noise():
+    with pytest.raises(ConfigurationError):
+        ContextualEnv(np.ones((1, 1)), ContextSpec(dimension=1), [gaussian_arm(0.5, 1.0)], 0)
 
 
 def test_gsg_regime_requires_proxy():
-    from varalloc import NoiseRegime, Regime
-
     with pytest.raises(ConfigurationError):
         NoiseRegime(Regime.GSG, None)

@@ -78,6 +78,19 @@ def test_configuration_error_exit_code(tmp_path):
     assert main(["simulate", str(bad)]) == 2
 
 
+def test_bad_worker_count_exit_code(config_path):
+    assert main(["simulate", config_path, "--workers", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["oracle", "1,x"], ["oracle", "1,4", "--p", "abc"]])
+def test_malformed_oracle_input_exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+
+
 def test_missing_config_exit_code():
     assert main(["simulate", "/does/not/exist.ini"]) == 2
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from varalloc import (
+from varalloc.concentration import (
     ci_gsg,
     ci_ssg,
     delta_schedule,
@@ -86,11 +86,6 @@ class TestRadii:
         for radius in (radius_gsg, radius_ssg, radius_gaussian):
             with pytest.raises(InsufficientDataError):
                 radius(1, 0.1, 1.0)
-
-    def test_symmetric_variant_uses_upper_constant(self):
-        sym = radius_gsg(5, 0.1, 1.0, symmetric=True)
-        asym = radius_gsg(5, 0.1, 1.0)
-        assert sym.eps_minus == sym.eps_plus == asym.eps_plus
 
     def test_monotone_in_n_and_delta(self):
         for radius in (radius_gsg, radius_ssg, radius_gaussian):

@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varalloc import (
+from varalloc.estimation import (
     RidgeState,
     RunningMoments,
     conditional_mse,
     gamma_schedule,
-    residual_variance,
-    ridge_estimate,
-    ridge_update,
-    sample_variance,
-    update_moments,
 )
 from varalloc.errors import (
     ContractViolation,
@@ -26,14 +21,14 @@ from varalloc.errors import (
 
 class TestRunningMoments:
     def test_single_update(self):
-        m = update_moments(RunningMoments(), 5.0)
+        m = RunningMoments().update(5.0)
         assert (m.n, m.mean, m.m2) == (1, 5.0, 0.0)
 
     def test_two_symmetric_values(self):
         m = RunningMoments()
         m.update(1.0).update(-1.0)
         assert (m.n, m.mean, m.m2) == (2, 0.0, 2.0)
-        assert sample_variance(m) == 2.0
+        assert m.sample_variance() == 2.0
 
     def test_batch_formula_value(self):
         m = RunningMoments()
@@ -45,11 +40,11 @@ class TestRunningMoments:
     def test_constant_stream_zero_variance(self):
         m = RunningMoments()
         m.update_many(np.array([3.0, 3.0, 3.0]))
-        assert sample_variance(m) == 0.0
+        assert m.sample_variance() == 0.0
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            sample_variance(RunningMoments().update(1.0))
+            RunningMoments().update(1.0).sample_variance()
 
     @given(
         st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=60),
@@ -76,8 +71,8 @@ class TestRunningMoments:
 class TestRidge:
     def test_accumulates_sums(self):
         s = RidgeState(1)
-        ridge_update(s, [1.0], 1.0)
-        ridge_update(s, [1.0], 3.0)
+        s.update([1.0], 1.0)
+        s.update([1.0], 3.0)
         assert s.gram[0, 0] == 2.0 and s.xty[0] == 4.0
 
     def test_empty_state_zero(self):
@@ -92,19 +87,19 @@ class TestRidge:
     def test_estimate_matches_least_squares(self):
         s = RidgeState(1)
         s.update([1.0], 1.0).update([1.0], 3.0)
-        assert ridge_estimate(s, 0.0)[0] == pytest.approx(2.0)
-        assert ridge_estimate(s, 2.0)[0] == pytest.approx(1.0)
+        assert s.estimate(0.0)[0] == pytest.approx(2.0)
+        assert s.estimate(2.0)[0] == pytest.approx(1.0)
 
     def test_zero_rewards_zero_estimate(self):
         s = RidgeState(2)
         rng = np.random.default_rng(0)
         s.update_many(rng.normal(size=(5, 2)), np.zeros(5))
-        np.testing.assert_allclose(ridge_estimate(s, 0.5), np.zeros(2))
+        np.testing.assert_allclose(s.estimate(0.5), np.zeros(2))
 
     def test_singular_at_gamma_zero(self):
         s = RidgeState(2).update([1.0, 0.0], 1.0)
         with pytest.raises(SingularSystemError):
-            ridge_estimate(s, 0.0)
+            s.estimate(0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
@@ -119,8 +114,8 @@ class TestRidge:
         s = RidgeState(d)
         s.update_many(rng.normal(size=(n, d)), rng.normal(size=n))
         gammas = sorted(rng.uniform(0.0, 5.0, 2))
-        lo = np.linalg.norm(ridge_estimate(s, gammas[1]))
-        hi = np.linalg.norm(ridge_estimate(s, gammas[0]))
+        lo = np.linalg.norm(s.estimate(gammas[1]))
+        hi = np.linalg.norm(s.estimate(gammas[0]))
         assert lo <= hi + 1e-9
 
 
@@ -138,12 +133,12 @@ class TestResidualVariance:
         beta = np.array([1.0, -2.0])
         contexts = rng.normal(size=(30, 2))
         s = RidgeState(2).update_many(contexts, contexts @ beta)
-        assert residual_variance(s, beta) == pytest.approx(0.0, abs=1e-20)
+        assert s.residual_variance(beta) == pytest.approx(0.0, abs=1e-20)
 
     def test_reduces_to_sample_variance(self):
         s = RidgeState(1)
         s.update([1.0], 1.0).update([1.0], -1.0)
-        assert residual_variance(s, np.zeros(1)) == pytest.approx(2.0)
+        assert s.residual_variance(np.zeros(1)) == pytest.approx(2.0)
 
     def test_monte_carlo_noise_variance(self):
         rng = np.random.default_rng(8)
@@ -151,12 +146,12 @@ class TestResidualVariance:
         contexts = rng.uniform(-math.sqrt(3), math.sqrt(3), (n, 2))
         rewards = contexts @ beta + rng.normal(0.0, math.sqrt(2.0), n)
         s = RidgeState(2).update_many(contexts, rewards)
-        beta_hat = ridge_estimate(s, gamma_schedule(1.0, n))
-        assert residual_variance(s, beta_hat) == pytest.approx(2.0, abs=0.15)
+        beta_hat = s.estimate(gamma_schedule(1.0, n))
+        assert s.residual_variance(beta_hat) == pytest.approx(2.0, abs=0.15)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            residual_variance(RidgeState(1).update([1.0], 1.0), np.zeros(1))
+            RidgeState(1).update([1.0], 1.0).residual_variance(np.zeros(1))
 
 
 class TestConditionalMse:

@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from varalloc import (
+import varalloc.harness as harness
+from varalloc.allocation import VarianceProfile
+from varalloc.harness import (
+    BOUND_NAMES,
+    CSV_COLUMNS,
     ExperimentConfig,
-    VarianceProfile,
+    apply_overrides,
     bound_value,
     load_config,
     make_bound_curve,
@@ -18,7 +22,6 @@ from varalloc import (
     slope_estimate,
     summarize,
 )
-from varalloc.harness import BOUND_NAMES, CSV_COLUMNS
 from varalloc.errors import ConfigurationError, InstanceTooLargeError
 
 INF = math.inf
@@ -112,11 +115,7 @@ def _tiny_config(tmp_path, **overrides):
         bound="t1_inf",
         output=str(tmp_path / "tiny.csv"),
     )
-    if overrides:
-        from varalloc.harness import apply_overrides
-
-        cfg = apply_overrides(cfg, **overrides)
-    return cfg
+    return apply_overrides(cfg, **overrides)
 
 
 class TestRunExperiment:
@@ -151,6 +150,33 @@ class TestRunExperiment:
             (r.horizon, r.trial, r.regret, r.objective, r.good_event) for r in rows
         ]
         assert strip(serial) == strip(pooled)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        with pytest.raises(ConfigurationError):
+            _tiny_config(tmp_path, output=None, workers=workers)
+
+    def test_pool_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        rows = run_experiment(_tiny_config(tmp_path, output=None, workers=64))
+        assert sizes == [3]
+        assert len(rows) == 4
 
     def test_good_event_union_bound(self, tmp_path):
         cfg = _tiny_config(
@@ -217,8 +243,8 @@ batch_growth = 2.5
             "[arms]\nvariances = 1 2\nmeans = 0 0\n"
             "[knowledge]\nlower_bound = 1\nproxy = 2\n"
         )
-        cfg = load_config(str(path), trials=5)
-        assert cfg.trials == 5
+        cfg = apply_overrides(load_config(str(path)), trials=5, seed=None)
+        assert cfg.trials == 5 and cfg.seed == 0
 
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):

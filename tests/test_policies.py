@@ -5,24 +5,43 @@ import math
 import numpy as np
 import pytest
 
-from varalloc import (
-    ConfidenceInterval,
-    ContextSpec,
-    ContextualEnv,
-    NoiseRegime,
+from varalloc.arms import ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm
+from varalloc.concentration import ConfidenceInterval
+from varalloc.errors import ConfigurationError, ContractViolation
+from varalloc.policies import (
     PolicyConfig,
-    Regime,
-    ScriptedEnv,
-    gaussian_arm,
     phase1_length,
     phase2_schedule,
     run_adaptive,
     run_contextual,
     run_nonadaptive,
 )
-from varalloc.errors import ConfigurationError
 
 INF = math.inf
+
+
+class ScriptedEnv:
+    """Replays fixed per-arm reward sequences in place of a sampling environment."""
+
+    def __init__(self, sequences: list[list[float]], true_variances: list[float] | None = None):
+        self._seqs = [list(map(float, s)) for s in sequences]
+        self._pos = [0] * len(sequences)
+        self._vars = true_variances
+
+    @property
+    def num_arms(self) -> int:
+        return len(self._seqs)
+
+    @property
+    def true_variances(self):
+        return self._vars
+
+    def pull(self, k: int, m: int = 1) -> np.ndarray:
+        i = self._pos[k]
+        if i + m > len(self._seqs[k]):
+            raise ContractViolation(f"scripted sequence for arm {k} exhausted")
+        self._pos[k] = i + m
+        return np.asarray(self._seqs[k][i : i + m])
 
 
 def _gaussian_cfg(variances, horizon, p=INF, regime=Regime.SSG, proxy=None, seed=0, **kw):
