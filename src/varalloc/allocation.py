@@ -51,10 +51,11 @@ class VarianceProfile:
         object.__setattr__(self, "variances", tuple(float(v) for v in self.variances))
         if not self.variances or not all(math.isfinite(v) and v > 0 for v in self.variances):
             raise ConfigurationError("all variances must be positive and finite")
-        if self.lower_bound is not None and self.lower_bound > min(self.variances) + 1e-12:
-            raise ConfigurationError("lower_bound exceeds the smallest variance")
-        if self.proxy is not None and self.proxy < max(self.variances) - 1e-12:
-            raise ConfigurationError("proxy must dominate every variance")
+        low, high = min(self.variances), max(self.variances)
+        if self.lower_bound is not None and not 0.0 < self.lower_bound <= low + 1e-12:
+            raise ConfigurationError(f"lower_bound must lie in (0, {low}], got {self.lower_bound}")
+        if self.proxy is not None and not high - 1e-12 <= self.proxy < math.inf:
+            raise ConfigurationError(f"proxy must be finite and >= {high}, got {self.proxy}")
 
     @property
     def num_arms(self) -> int:
@@ -160,13 +161,6 @@ def optimal_objective(profile: VarianceProfile, p: float, horizon: int) -> float
     """Closed-form optimum (sum_k v_k^{q/2})^{2/q} / T."""
     q = q_of_p(p)
     return profile.power_sum(q) ** (2.0 / q) / horizon
-
-
-def regret(plan: AllocationPlan, profile: VarianceProfile, p: float) -> float:
-    """Realized objective of a plan minus the closed-form optimum."""
-    return objective_rp(plan.counts, profile.variances, p) - optimal_objective(
-        profile, p, plan.horizon
-    )
 
 
 def plugin_weights(variance_estimates, q: float) -> np.ndarray:

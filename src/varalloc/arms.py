@@ -22,7 +22,6 @@ class Family(str, Enum):
     GAUSSIAN = "gaussian"
     RADEMACHER = "rademacher"
     SYMMETRIC_BETA = "symmetric_beta"
-    CUSTOM = "custom"
 
 
 class Regime(str, Enum):
@@ -48,6 +47,8 @@ class ArmSpec:
     family_params: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise ConfigurationError(f"arm mean must be finite, got {self.mean}")
         if not (math.isfinite(self.variance) and self.variance > 0):
             raise ConfigurationError(
                 f"arm variance must be positive and finite, got {self.variance}"
@@ -63,9 +64,6 @@ class ArmSpec:
                     f"symmetric beta shape {self.family_params[0]} implies "
                     f"variance {want}, got {self.variance}"
                 )
-        if self.family == Family.CUSTOM:
-            if len(self.family_params) < 2:
-                raise ConfigurationError("custom arm needs a quantile table (>= 2 points)")
 
 
 def gaussian_arm(mean: float, variance: float) -> ArmSpec:
@@ -92,9 +90,6 @@ def sample_reward(arm: ArmSpec, rng: np.random.Generator, size: int) -> np.ndarr
     if arm.family == Family.SYMMETRIC_BETA:
         a = arm.family_params[0]
         return arm.mean + (2.0 * rng.beta(a, a, size) - 1.0)
-    if arm.family == Family.CUSTOM:
-        table = np.asarray(arm.family_params, dtype=float)
-        return table[rng.integers(0, len(table), size)]
     raise ConfigurationError(f"unknown family {arm.family}")  # pragma: no cover
 
 
@@ -106,9 +101,11 @@ class NoiseRegime:
     sigma_sq_proxy: float | None = None
 
     def __post_init__(self):
-        if self.regime == Regime.GSG:
-            if self.sigma_sq_proxy is None or self.sigma_sq_proxy <= 0:
-                raise ConfigurationError("GSG regime requires a positive variance proxy")
+        proxy = self.sigma_sq_proxy
+        if proxy is not None and not 0.0 < proxy < math.inf:
+            raise ConfigurationError(f"variance proxy must be positive and finite, got {proxy}")
+        if self.regime == Regime.GSG and proxy is None:
+            raise ConfigurationError("GSG regime requires a variance proxy")
 
 
 @dataclass(frozen=True)
@@ -125,8 +122,10 @@ class ContextSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise ConfigurationError("context dimension must be >= 1")
-        if self.lambda_min <= 0:
-            raise ConfigurationError("lambda_min must be positive")
+        if not 0.0 < self.lambda_min < math.inf:
+            raise ConfigurationError(
+                f"lambda_min must be positive and finite, got {self.lambda_min}"
+            )
 
 
 def sample_context(spec: ContextSpec, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -148,10 +147,6 @@ class CanonicalEnv:
             raise ConfigurationError("environment needs at least one arm")
         self.arms = list(arms)
         self._rngs = _substreams(seed, len(arms))
-
-    @property
-    def num_arms(self) -> int:
-        return len(self.arms)
 
     @property
     def true_variances(self) -> list[float]:
@@ -194,10 +189,6 @@ class ContextualEnv:
         self._noise_rngs = streams[1:]
         self._scripted = None if contexts is None else np.asarray(contexts, dtype=float)
         self._round = 0
-
-    @property
-    def num_arms(self) -> int:
-        return len(self.noise_arms)
 
     @property
     def dimension(self) -> int:

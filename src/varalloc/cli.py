@@ -21,6 +21,7 @@ import sys
 from .allocation import VarianceProfile, objective_rp, optimal_allocation
 from .errors import VarallocError
 from .harness import (
+    _fmt,
     apply_overrides,
     bound_value,
     load_config,
@@ -106,9 +107,7 @@ def _cmd_bounds(args) -> int:
             writer = csv.writer(handle)
             writer.writerow(["experiment", "bound_name", "K", "p", "T", "bound_value"])
             for row in rows:
-                writer.writerow(
-                    [row[0], row[1], row[2], "inf" if math.isinf(row[3]) else row[3], row[4], row[5]]
-                )
+                writer.writerow([_fmt(value) for value in row])
     return EXIT_OK
 
 

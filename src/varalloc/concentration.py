@@ -9,8 +9,9 @@ the true variance, each tail at probability delta:
     with f(n) = (1 + sqrt(n-1)) / sqrt(n) and L = log(1/delta)
 
   strictly subgaussian: same shape with f(n) = (1 + sqrt((n-1)/8)) / sqrt(n)
-  and the variance itself in place of the proxy; dividing by the variance
-  gives the purely (n, delta)-dependent multiplicative factors s+-.
+  and the variance itself in place of the proxy; the radii at unit variance,
+  radius_ssg(n, delta, 1.0), are the purely (n, delta)-dependent
+  multiplicative factors s+- = eps+-.
 
   exact Gaussian (chi-square tails):
     eps_plus  = 2*v*(sqrt(L/(n-1)) + L/(n-1))
@@ -31,14 +32,6 @@ class RadiusPair:
 
     eps_minus: float
     eps_plus: float
-
-
-@dataclass(frozen=True)
-class MultiplicativeFactors:
-    """Radii divided by the true variance; depend only on (n, delta)."""
-
-    s_minus: float
-    s_plus: float
 
 
 @dataclass(frozen=True)
@@ -93,18 +86,6 @@ def radius_gaussian(n: int, delta: float, sigma_x_sq: float) -> RadiusPair:
     )
 
 
-def s_factors_ssg(n: int, delta: float) -> MultiplicativeFactors:
-    """Strictly-subgaussian radii per unit variance."""
-    r = radius_ssg(n, delta, 1.0)
-    return MultiplicativeFactors(s_minus=r.eps_minus, s_plus=r.eps_plus)
-
-
-def s_factors_gaussian(n: int, delta: float) -> MultiplicativeFactors:
-    """Gaussian chi-square radii per unit variance."""
-    r = radius_gaussian(n, delta, 1.0)
-    return MultiplicativeFactors(s_minus=r.eps_minus, s_plus=r.eps_plus)
-
-
 def ci_gsg(sigma_sq_hat: float, r: RadiusPair) -> ConfidenceInterval:
     """Additive interval: [max(hat - eps_plus, 0), hat + eps_minus]."""
     return ConfidenceInterval(
@@ -113,19 +94,21 @@ def ci_gsg(sigma_sq_hat: float, r: RadiusPair) -> ConfidenceInterval:
     )
 
 
-def ci_ssg(sigma_sq_hat: float, s: MultiplicativeFactors) -> ConfidenceInterval:
+def ci_ssg(sigma_sq_hat: float, s: RadiusPair) -> ConfidenceInterval:
     """Multiplicative interval: [hat / (1 + s_plus), hat / (1 - s_minus)].
 
-    Only valid once s_minus < 1; before that the first phase of the adaptive
+    `s` holds the radii at unit variance (radius_ssg or radius_gaussian at
+    variance 1.0), so s_minus = s.eps_minus and s_plus = s.eps_plus.  Only
+    valid once s_minus < 1; before that the first phase of the adaptive
     policy must keep sampling.
     """
-    if s.s_minus >= 1.0:
+    if s.eps_minus >= 1.0:
         raise PhasePreconditionError(
-            f"s_minus={s.s_minus:.4f} >= 1: interval undefined at this sample size"
+            f"s_minus={s.eps_minus:.4f} >= 1: interval undefined at this sample size"
         )
     return ConfidenceInterval(
-        lcb=sigma_sq_hat / (1.0 + s.s_plus),
-        ucb=sigma_sq_hat / (1.0 - s.s_minus),
+        lcb=sigma_sq_hat / (1.0 + s.eps_plus),
+        ucb=sigma_sq_hat / (1.0 - s.eps_minus),
     )
 
 

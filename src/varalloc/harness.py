@@ -42,23 +42,25 @@ from .arms import (
 from .errors import ConfigurationError, InstanceTooLargeError
 from .policies import PolicyConfig, run_adaptive, run_contextual, run_nonadaptive
 
-CSV_COLUMNS = (
-    "experiment",
-    "policy",
-    "regime",
-    "p",
-    "K",
-    "T",
-    "trial",
-    "seed",
-    "regret",
-    "objective",
-    "optimal_objective",
-    "bound_name",
-    "bound_value",
-    "good_event",
-    "runtime_ms",
+# One (column, Row field, parser) per CSV column, in column order.
+_CSV_SCHEMA = (
+    ("experiment", "experiment", str),
+    ("policy", "policy", str),
+    ("regime", "regime", str),
+    ("p", "p", float),
+    ("K", "num_arms", int),
+    ("T", "horizon", int),
+    ("trial", "trial", int),
+    ("seed", "seed", int),
+    ("regret", "regret", float),
+    ("objective", "objective", float),
+    ("optimal_objective", "optimal_objective", float),
+    ("bound_name", "bound_name", str),
+    ("bound_value", "bound_value", lambda text: float(text) if text else None),
+    ("good_event", "good_event", {"1": True, "0": False, "": None}.__getitem__),
+    ("runtime_ms", "runtime_ms", int),
 )
+CSV_COLUMNS = tuple(column for column, _, _ in _CSV_SCHEMA)
 
 BOUND_NAMES = (
     "t1_inf",
@@ -257,7 +259,7 @@ class ExperimentConfig:
     variances: tuple[float, ...] | None = None
     means: tuple[float, ...] | str | None = "uniform -1 1"
     beta_shapes: tuple[float, ...] | None = None
-    # prior knowledge
+    # prior knowledge; the policies see lower_bound only if knows_lower_bound
     lower_bound: float | None = None
     proxy: float | None = None
     knows_lower_bound: bool = False
@@ -287,6 +289,11 @@ class ExperimentConfig:
             raise ConfigurationError("seed must be nonnegative")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if self.knows_lower_bound and self.lower_bound is None:
+            raise ConfigurationError("knows_lower_bound requires a lower_bound")
+        unknown = [f for f in self.families if f not in [family.value for family in Family]]
+        if unknown:
+            raise ConfigurationError(f"unknown arm families {unknown}")
         validate_norm_order(self.p)
         horizons = tuple(sorted(set(int(t) for t in self.horizons)))
         if not horizons:
@@ -360,8 +367,6 @@ def _canonical_arms(cfg: ExperimentConfig, rng) -> list[ArmSpec]:
             if cfg.beta_shapes is None:
                 raise ConfigurationError("beta arms need beta_shapes")
             arms.append(symmetric_beta_arm(means[i], cfg.beta_shapes[i]))
-        else:
-            raise ConfigurationError(f"unsupported experiment family {fam}")
     return arms
 
 
@@ -369,7 +374,14 @@ def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
     entropy = np.random.SeedSequence([cfg.seed, horizon, trial])
     model_seq, env_seq = entropy.spawn(2)
     rng = np.random.default_rng(model_seq)
-    regime = NoiseRegime(Regime(cfg.regime), cfg.proxy)
+    common = dict(
+        horizon=horizon,
+        p=cfg.p,
+        regime=NoiseRegime(Regime(cfg.regime), cfg.proxy),
+        lower_bound=cfg.lower_bound if cfg.knows_lower_bound else None,
+        phase3_ucb_mode=cfg.phase3_ucb,
+        batch_growth=cfg.batch_growth,
+    )
 
     start = time.perf_counter()
     if cfg.policy == "contextual":
@@ -379,32 +391,17 @@ def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
         noise_arms = [gaussian_arm(0.0, v) for v in noise_vars]
         spec = ContextSpec(dimension=dim, lambda_min=cfg.lambda_min)
         policy_cfg = PolicyConfig(
-            horizon=horizon,
-            p=cfg.p,
-            regime=regime,
             betas=tuple(tuple(b) for b in betas),
             context_spec=spec,
             noise_arms=tuple(noise_arms),
-            knows_lower_bound=cfg.knows_lower_bound,
-            lower_bound=cfg.lower_bound,
-            phase3_ucb_mode=cfg.phase3_ucb,
-            batch_growth=cfg.batch_growth,
+            **common,
         )
         env = ContextualEnv(betas, spec, noise_arms, env_seq)
         trace = run_contextual(policy_cfg, env)
         true_vars = noise_vars
     else:
         arms = _canonical_arms(cfg, rng)
-        policy_cfg = PolicyConfig(
-            horizon=horizon,
-            p=cfg.p,
-            regime=regime,
-            arms=tuple(arms),
-            knows_lower_bound=cfg.knows_lower_bound,
-            lower_bound=cfg.lower_bound,
-            phase3_ucb_mode=cfg.phase3_ucb,
-            batch_growth=cfg.batch_growth,
-        )
+        policy_cfg = PolicyConfig(arms=tuple(arms), **common)
         env = CanonicalEnv(arms, env_seq)
         runner = run_nonadaptive if cfg.policy == "nonadaptive" else run_adaptive
         trace = runner(policy_cfg, env)
@@ -481,25 +478,7 @@ def write_csv(rows: list[Row], path: str):
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for r in rows:
-            writer.writerow(
-                [
-                    r.experiment,
-                    r.policy,
-                    r.regime,
-                    _fmt(r.p),
-                    r.num_arms,
-                    r.horizon,
-                    r.trial,
-                    r.seed,
-                    _fmt(r.regret),
-                    _fmt(r.objective),
-                    _fmt(r.optimal_objective),
-                    r.bound_name,
-                    _fmt(r.bound_value),
-                    _fmt(r.good_event),
-                    r.runtime_ms,
-                ]
-            )
+            writer.writerow([_fmt(getattr(r, field)) for _, field, _ in _CSV_SCHEMA])
 
 
 def read_csv(path: str) -> list[Row]:
@@ -509,25 +488,7 @@ def read_csv(path: str) -> list[Row]:
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ConfigurationError(f"unexpected CSV columns in {path}")
         for rec in reader:
-            rows.append(
-                Row(
-                    experiment=rec["experiment"],
-                    policy=rec["policy"],
-                    regime=rec["regime"],
-                    p=float(rec["p"]),
-                    num_arms=int(rec["K"]),
-                    horizon=int(rec["T"]),
-                    trial=int(rec["trial"]),
-                    seed=int(rec["seed"]),
-                    regret=float(rec["regret"]),
-                    objective=float(rec["objective"]),
-                    optimal_objective=float(rec["optimal_objective"]),
-                    bound_name=rec["bound_name"],
-                    bound_value=float(rec["bound_value"]) if rec["bound_value"] else None,
-                    good_event={"1": True, "0": False, "": None}[rec["good_event"]],
-                    runtime_ms=int(rec["runtime_ms"]),
-                )
-            )
+            rows.append(Row(**{field: parse(rec[col]) for col, field, parse in _CSV_SCHEMA}))
     return rows
 
 

@@ -1,11 +1,11 @@
 """Sequential allocation policies over sampled data.
 
-Three deterministic state machines share the same skeleton: estimate each
-group's variance, convert estimates into allocation shares, and exhaust the
-budget so that total pulls equal the horizon exactly.
+Three deterministic state machines run one skeleton, `_run_policy`: estimate
+each group's variance, convert estimates into allocation shares, and exhaust
+the budget so that total pulls equal the horizon exactly.
 
-* run_nonadaptive: fixed initial run length from a known variance floor,
-  a single plug-in reallocation, no confidence bounds.
+* run_nonadaptive: the skeleton with a fixed-length first phase sized from a
+  known variance floor, no second phase and plug-in final shares.
 * run_adaptive: three phases driven by variance LCB/UCBs; an arm stops
   being pulled once its count reaches its pessimistic share of the horizon.
 * run_contextual: the adaptive skeleton with ridge-regression coefficient
@@ -21,9 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import (
-    plugin_weights,
+    VarianceProfile,
     adaptive_weight,
+    objective_rp,
+    optimal_objective,
     phase3_ucb_weights,
+    plugin_weights,
     q_of_p,
     round_allocation,
     tau_nonadaptive,
@@ -41,9 +44,9 @@ from .concentration import (
     ci_gsg,
     ci_ssg,
     delta_schedule,
+    radius_gaussian,
     radius_gsg,
-    s_factors_gaussian,
-    s_factors_ssg,
+    radius_ssg,
 )
 from .errors import (
     ConfigurationError,
@@ -60,7 +63,8 @@ _SWEEP_CAP = 512
 @dataclass(frozen=True)
 class PolicyConfig:
     """Inputs of one policy run.  Canonical runs set `arms`; contextual runs
-    set (betas, context_spec, noise_arms)."""
+    set (betas, context_spec, noise_arms).  `lower_bound` is a known floor on
+    every variance, or None when the floor is unknown."""
 
     horizon: int
     p: float
@@ -69,11 +73,9 @@ class PolicyConfig:
     betas: tuple[tuple[float, ...], ...] | None = None
     context_spec: ContextSpec | None = None
     noise_arms: tuple[ArmSpec, ...] | None = None
-    knows_lower_bound: bool = False
     lower_bound: float | None = None
     phase3_ucb_mode: bool = False
     batch_growth: float = 2.0
-    lcb_margin: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -89,12 +91,14 @@ class PolicyConfig:
             raise ConfigurationError(
                 f"horizon {self.horizon} too small for {self.num_arms} arms (need >= 2K)"
             )
-        if self.knows_lower_bound and (self.lower_bound is None or self.lower_bound <= 0):
-            raise ConfigurationError("knows_lower_bound requires a positive lower_bound")
-        if self.batch_growth <= 1.0:
-            raise ConfigurationError("batch_growth must exceed 1")
-        if self.lcb_margin < 1.0:
-            raise ConfigurationError("lcb_margin must be >= 1")
+        if self.lower_bound is not None and not 0.0 < self.lower_bound < math.inf:
+            raise ConfigurationError(
+                f"lower_bound must be positive and finite, got {self.lower_bound}"
+            )
+        if not 1.0 < self.batch_growth < math.inf:
+            raise ConfigurationError(
+                f"batch_growth must be finite and exceed 1, got {self.batch_growth}"
+            )
 
     @property
     def num_arms(self) -> int:
@@ -120,16 +124,15 @@ class PolicyTrace:
     pull_order: tuple[tuple[int, int], ...] = ()
 
 
-def phase1_length(regime, proxy_or_unused: float, horizon: int, num_arms: int) -> int:
+def phase1_length(regime: Regime, proxy_or_unused: float, horizon: int, num_arms: int) -> int:
     """Initial per-arm run length when no variance floor is known.
 
     General subgaussian: min(ceil(64 * proxy^2 * log T), T // K); the
     strictly-subgaussian and Gaussian regimes need only min(ceil(18 log T),
     T // K).  Always at least 2 so the variance estimator is defined.
     """
-    kind = regime.regime if isinstance(regime, NoiseRegime) else regime
     log_t = math.log(horizon)
-    if kind == Regime.GSG:
+    if regime == Regime.GSG:
         if proxy_or_unused is None or proxy_or_unused <= 0:
             raise ConfigurationError("GSG initial run length needs the variance proxy")
         formula = 64.0 * proxy_or_unused**2 * log_t
@@ -140,8 +143,6 @@ def phase1_length(regime, proxy_or_unused: float, horizon: int, num_arms: int) -
 
 def phase2_schedule(current_n: int, target: float, batch_growth: float) -> int:
     """Next sample size at which the stopping condition is re-checked."""
-    if batch_growth <= 1.0:
-        raise ConfigurationError("batch_growth must exceed 1")
     return min(
         math.ceil(target), max(current_n + 1, math.ceil(current_n * batch_growth))
     )
@@ -150,10 +151,9 @@ def phase2_schedule(current_n: int, target: float, batch_growth: float) -> int:
 class _CIEngine:
     """Regime-dependent confidence bounds plus good-event bookkeeping."""
 
-    def __init__(self, regime: NoiseRegime, delta: float, margin: float, truth, override=None):
+    def __init__(self, regime: NoiseRegime, delta: float, truth, override=None):
         self.regime = regime
         self.delta = delta
-        self.margin = margin
         self.truth = truth  # true variances, or None when unknown
         self.override = override
         self.good = True if truth is not None else None
@@ -170,19 +170,16 @@ class _CIEngine:
             r = radius_gsg(n, self.delta, self.regime.sigma_sq_proxy)
             ci = ci_gsg(sigma_sq_hat, r)
             lcb, ucb = ci.lcb, ci.ucb
-            ok = sigma_sq_hat - self.margin * r.eps_plus > 0.0
+            ok = sigma_sq_hat - r.eps_plus > 0.0
         else:
-            s = (
-                s_factors_ssg(n, self.delta)
-                if self.regime.regime == Regime.SSG
-                else s_factors_gaussian(n, self.delta)
-            )
-            ok = self.margin * s.s_minus < 1.0 and sigma_sq_hat > 0.0
-            if s.s_minus < 1.0:
+            radius = radius_ssg if self.regime.regime == Regime.SSG else radius_gaussian
+            s = radius(n, self.delta, 1.0)  # per unit variance: the factors s-, s+
+            ok = s.eps_minus < 1.0 and sigma_sq_hat > 0.0
+            if s.eps_minus < 1.0:
                 ci = ci_ssg(sigma_sq_hat, s)
                 lcb, ucb = ci.lcb, ci.ucb
             else:  # upper bound undefined this early; lower bound still usable
-                lcb, ucb = sigma_sq_hat / (1.0 + s.s_plus), math.inf
+                lcb, ucb = sigma_sq_hat / (1.0 + s.eps_plus), math.inf
         if self.good is not None:
             v = self.truth[k]
             if not (lcb <= v <= ucb):
@@ -193,9 +190,14 @@ class _CIEngine:
 class _CanonicalRun:
     """Budget bookkeeping over a reward environment."""
 
+    # Pulls every arm gets before the first phase proper, the factor the
+    # reported objective carries, and whether a ridge penalty was floored.
+    seed_pulls = 0
+    objective_scale = 1.0
+    gamma_floored = False
+
     def __init__(self, env, num_arms: int, horizon: int):
         self.env = env
-        self.horizon = horizon
         self.budget = horizon
         self.pulls = [0] * num_arms
         self.moments = [RunningMoments() for _ in range(num_arms)]
@@ -233,9 +235,10 @@ class _ContextualRun(_CanonicalRun):
     def __init__(self, env, num_arms: int, horizon: int, lambda_min: float):
         super().__init__(env, num_arms, horizon)
         self.lambda_min = lambda_min
+        self.seed_pulls = env.dimension  # a ridge state is solvable from d rows
+        self.objective_scale = 2.0 * env.dimension / lambda_min
         self.states = [RidgeState(env.dimension) for _ in range(num_arms)]
         self._cache: dict[int, tuple[int, float]] = {}
-        self.gamma_floored = False
 
     def _consume(self, k: int, m: int):
         contexts, rewards = self.env.pull(k, m)
@@ -282,9 +285,9 @@ def _fill_by_priority(run, counts, priority) -> bool:
     return clamped
 
 
-def _phase3_weights(cfg, run, ci_engine, q):
+def _phase3_weights(cfg, run, ci_engine, q, use_ucb: bool):
     sigma_hats = [run.sigma_hat(k) for k in range(cfg.num_arms)]
-    if cfg.phase3_ucb_mode:
+    if use_ucb:
         ucbs = []
         for k in range(cfg.num_arms):
             _, ucb, _ = ci_engine.evaluate(k, run.pulls[k], sigma_hats[k])
@@ -300,66 +303,22 @@ def _phase3_weights(cfg, run, ci_engine, q):
     return weights, sigma_hats
 
 
-def run_nonadaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
-    """Fixed-length initial phase, one plug-in reallocation."""
-    if not cfg.knows_lower_bound:
-        raise ConfigurationError("the non-adaptive policy requires a variance lower bound")
-    if cfg.arms is None:
-        raise ConfigurationError("the non-adaptive policy runs on canonical arms")
-    proxy = cfg.regime.sigma_sq_proxy
-    if proxy is None or proxy <= 0:
-        raise ConfigurationError("the non-adaptive policy needs the variance proxy")
+def _phase1(cfg, run, ci_engine, q, adaptive: bool) -> tuple[list[int], bool]:
+    """Initial pulls; the adaptive policy then tops arms up one by one until
+    every LCB is positive.  Returns the counts and whether the budget ran out
+    before every arm passed."""
     k_arms, horizon = cfg.num_arms, cfg.horizon
-    q = q_of_p(cfg.p)
-    delta = delta_schedule("nonadaptive", cfg.p, horizon)
-    if env is None:
-        env = CanonicalEnv(list(cfg.arms), cfg.seed)
-    run = _CanonicalRun(env, k_arms, horizon)
-    truth = env.true_variances
-    ci_engine = _CIEngine(cfg.regime, delta, cfg.lcb_margin, truth)
-
-    tau = tau_nonadaptive(cfg.lower_bound, proxy, k_arms, horizon, q)
-    for k in range(k_arms):
-        run.draw(k, tau)
-    sigma_hats = [run.sigma_hat(k) for k in range(k_arms)]
-    for k in range(k_arms):
-        ci_engine.evaluate(k, tau, sigma_hats[k])  # good-event bookkeeping only
-
-    try:
-        weights = plugin_weights(sigma_hats, q)
-    except DegenerateInputError:
-        weights = np.full(k_arms, 1.0 / k_arms)
-    counts = round_allocation(weights, horizon, sigma_hats)
-    clamped = _fill_by_priority(run, counts, sigma_hats)
-
-    return _finish_trace(
-        cfg,
-        run,
-        phase1_ends=(tau,) * k_arms,
-        stopping_times=(tau,) * k_arms,
-        variance_estimates=tuple(sigma_hats),
-        good=ci_engine.good,
-        truncated=False,
-        clamped=clamped,
-    )
-
-
-def _phase1(cfg, run, ci_engine) -> tuple[list[int], bool]:
-    """Initial pulls plus one-by-one top-ups until every LCB is positive."""
-    k_arms, horizon = cfg.num_arms, cfg.horizon
-    q = q_of_p(cfg.p)
-    if cfg.knows_lower_bound:
+    if cfg.lower_bound is not None:
         proxy = cfg.regime.sigma_sq_proxy
-        if proxy is None or proxy <= 0:
+        if proxy is None:
             raise ConfigurationError("a known lower bound also needs the variance proxy")
         start = tau_nonadaptive(cfg.lower_bound, proxy, k_arms, horizon, q)
     else:
-        start = phase1_length(cfg.regime, cfg.regime.sigma_sq_proxy, horizon, k_arms)
-    start = max(2, min(start, horizon // k_arms))
-    if isinstance(run, _ContextualRun):
-        start = max(start, min(run.env.dimension, horizon // k_arms))
-        for k in range(k_arms):
-            run.draw(k, min(run.env.dimension, horizon // k_arms))
+        start = phase1_length(cfg.regime.regime, cfg.regime.sigma_sq_proxy, horizon, k_arms)
+    seed = min(run.seed_pulls, horizon // k_arms)
+    start = max(2, seed, min(start, horizon // k_arms))
+    for k in range(k_arms):
+        run.draw(k, seed)
     for k in range(k_arms):
         run.draw(k, start - run.pulls[k])
 
@@ -368,6 +327,8 @@ def _phase1(cfg, run, ci_engine) -> tuple[list[int], bool]:
         return passed
 
     failing = [k for k in range(k_arms) if not ok(k)]
+    if not adaptive:  # fixed length: the checks above only record the good event
+        return run.pulls.copy(), False
     while failing and run.budget > 0:
         still = []
         for k in failing:
@@ -410,61 +371,57 @@ def _phase2(cfg, run, ci_engine, q) -> tuple[list[int], bool]:
     return stopping, truncated
 
 
-def _finish_trace(
-    cfg, run, phase1_ends, stopping_times, variance_estimates, good, truncated, clamped
-) -> PolicyTrace:
-    from .allocation import VarianceProfile, objective_rp, optimal_objective
-
+def _run_policy(cfg: PolicyConfig, run, adaptive: bool, ci_override=None) -> PolicyTrace:
+    """The skeleton every policy shares.  The non-adaptive variant keeps the
+    first phase at its fixed length, has no second phase, and always uses
+    plug-in final shares."""
+    q = q_of_p(cfg.p)
+    delta = delta_schedule("adaptive" if adaptive else "nonadaptive", cfg.p, cfg.horizon)
     truth = run.env.true_variances
-    realized = optimal = reg = None
+    ci_engine = _CIEngine(cfg.regime, delta, truth, ci_override)
+    phase1_ends, starved = _phase1(cfg, run, ci_engine, q, adaptive)
+    if adaptive and not starved:
+        stopping, truncated = _phase2(cfg, run, ci_engine, q)
+    else:
+        stopping, truncated = list(run.pulls), starved
+    use_ucb = adaptive and cfg.phase3_ucb_mode
+    weights, sigma_hats = _phase3_weights(cfg, run, ci_engine, q, use_ucb)
+    counts = round_allocation(weights, cfg.horizon, sigma_hats)
+    clamped = _fill_by_priority(run, counts, sigma_hats)
+
+    realized = optimal = regret = None
     if truth is not None:
-        scale = 1.0
-        if isinstance(run, _ContextualRun):
-            scale = 2.0 * run.env.dimension / run.lambda_min
         profile = VarianceProfile(tuple(truth))
-        realized = scale * objective_rp(run.pulls, truth, cfg.p)
-        optimal = scale * optimal_objective(profile, cfg.p, cfg.horizon)
-        reg = realized - optimal
+        realized = run.objective_scale * objective_rp(run.pulls, truth, cfg.p)
+        optimal = run.objective_scale * optimal_objective(profile, cfg.p, cfg.horizon)
+        regret = realized - optimal
+    estimates = run.means()  # can floor a ridge penalty: read before gamma_floored
     return PolicyTrace(
         counts=tuple(run.pulls),
         phase1_ends=tuple(phase1_ends),
-        stopping_times=tuple(stopping_times),
-        estimates=run.means(),
-        variance_estimates=variance_estimates,
+        stopping_times=tuple(stopping),
+        estimates=estimates,
+        variance_estimates=tuple(sigma_hats),
         realized_objective=realized,
         optimal_objective=optimal,
-        realized_regret=reg,
-        good_event_held=good,
+        realized_regret=regret,
+        good_event_held=ci_engine.good,
         truncated=truncated,
         budget_clamped=clamped,
+        gamma_floored=run.gamma_floored,
         pull_order=run.encoded_order(),
     )
 
 
-def _run_threephase(cfg: PolicyConfig, run, ci_override=None) -> PolicyTrace:
-    q = q_of_p(cfg.p)
-    delta = delta_schedule("adaptive", cfg.p, cfg.horizon)
-    ci_engine = _CIEngine(
-        cfg.regime, delta, cfg.lcb_margin, run.env.true_variances, ci_override
-    )
-    phase1_ends, starved = _phase1(cfg, run, ci_engine)
-    if starved:
-        stopping, truncated = list(run.pulls), True
-    else:
-        stopping, truncated = _phase2(cfg, run, ci_engine, q)
-    weights, sigma_hats = _phase3_weights(cfg, run, ci_engine, q)
-    counts = round_allocation(weights, cfg.horizon, sigma_hats)
-    clamped = _fill_by_priority(run, counts, sigma_hats)
-    return _finish_trace(
-        cfg,
-        run,
-        phase1_ends=tuple(phase1_ends),
-        stopping_times=tuple(stopping),
-        variance_estimates=tuple(sigma_hats),
-        good=ci_engine.good,
-        truncated=truncated,
-        clamped=clamped,
-    )
+def run_nonadaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
+    """Fixed-length first phase from the known floor, one plug-in reallocation."""
+    if cfg.lower_bound is None:
+        raise ConfigurationError("the non-adaptive policy requires a variance lower bound")
+    if cfg.arms is None:
+        raise ConfigurationError("the non-adaptive policy runs on canonical arms")
+    if env is None:
+        env = CanonicalEnv(list(cfg.arms), cfg.seed)
+    return _run_policy(cfg, _CanonicalRun(env, cfg.num_arms, cfg.horizon), adaptive=False)
 
 
 def run_adaptive(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace:
@@ -474,7 +431,7 @@ def run_adaptive(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace:
     if env is None:
         env = CanonicalEnv(list(cfg.arms), cfg.seed)
     run = _CanonicalRun(env, cfg.num_arms, cfg.horizon)
-    return _run_threephase(cfg, run, ci_override)
+    return _run_policy(cfg, run, adaptive=True, ci_override=ci_override)
 
 
 def run_contextual(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace:
@@ -496,6 +453,4 @@ def run_contextual(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace
             "horizon too small to seed every arm's ridge state"
         )
     run = _ContextualRun(env, k_arms, cfg.horizon, cfg.context_spec.lambda_min)
-    trace = _run_threephase(cfg, run, ci_override)
-    trace.gamma_floored = run.gamma_floored
-    return trace
+    return _run_policy(cfg, run, adaptive=True, ci_override=ci_override)

@@ -67,7 +67,6 @@ def _random_canonical_cfg(rng) -> tuple[PolicyConfig, str]:
             p=p,
             regime=NoiseRegime(Regime(regime_kind), proxy),
             arms=tuple(arms),
-            knows_lower_bound=knows,
             lower_bound=lower if knows else None,
             phase3_ucb_mode=bool(rng.integers(0, 2)) and math.isinf(p),
             batch_growth=float(rng.uniform(1.5, 3.0)),
@@ -90,7 +89,6 @@ def _random_contextual_cfg(rng) -> PolicyConfig:
         betas=betas,
         context_spec=ContextSpec(dimension=dim),
         noise_arms=noise_arms,
-        knows_lower_bound=True,
         lower_bound=float(noise_vars.min()),
         seed=int(rng.integers(0, 2**31)),
     )

@@ -16,7 +16,6 @@ from varalloc.allocation import (
     phase3_ucb_weights,
     plugin_weights,
     q_of_p,
-    regret,
     round_allocation,
     tau_nonadaptive,
 )
@@ -90,12 +89,12 @@ class TestObjectiveAndRegret:
             objective_rp((0, 10), (1.0, 1.0), 1.0)
 
     def test_regret_zero_at_exact_optimum(self):
-        plan = AllocationPlan((0.2, 0.8), (2, 8), 10)
-        assert regret(plan, VarianceProfile((1.0, 4.0)), INF) == pytest.approx(0.0)
+        optimal = optimal_objective(VarianceProfile((1.0, 4.0)), INF, 10)
+        assert objective_rp((2, 8), (1.0, 4.0), INF) - optimal == pytest.approx(0.0)
 
     def test_regret_hand_value(self):
-        plan = AllocationPlan((0.5, 0.5), (5, 5), 10)
-        assert regret(plan, VarianceProfile((1.0, 4.0)), INF) == pytest.approx(0.3)
+        optimal = optimal_objective(VarianceProfile((1.0, 4.0)), INF, 10)
+        assert objective_rp((5, 5), (1.0, 4.0), INF) - optimal == pytest.approx(0.3)
 
     def test_regret_dominates_best_integer(self):
         profile = VarianceProfile((1.0, 2.0, 4.0))
@@ -120,7 +119,10 @@ class TestObjectiveAndRegret:
         rng = np.random.default_rng(seed)
         counts = rng.multinomial(horizon - k, [1 / k] * k) + 1
         plan = AllocationPlan((1.0 / k,) * k, tuple(int(c) for c in counts), horizon)
-        assert regret(plan, profile, p) >= -1e-12
+        regret = objective_rp(plan.counts, profile.variances, p) - optimal_objective(
+            profile, p, horizon
+        )
+        assert regret >= -1e-12
 
     @pytest.mark.parametrize("p", [200.0, 1000.0])
     def test_large_finite_p_does_not_underflow(self, p):
@@ -129,7 +131,8 @@ class TestObjectiveAndRegret:
         errors = np.asarray(profile.variances) / np.asarray(plan.counts)
         assert objective_rp(plan.counts, profile.variances, p) >= errors.max()
         optimal = optimal_objective(profile, p, plan.horizon)
-        assert regret(plan, profile, p) >= -1e-12 * optimal
+        regret = objective_rp(plan.counts, profile.variances, p) - optimal
+        assert regret >= -1e-12 * optimal
 
 
 class TestWeights:
@@ -256,6 +259,13 @@ class TestTypeInvariants:
     def test_profile_rejects_nonpositive_variance(self):
         with pytest.raises(ConfigurationError):
             VarianceProfile((1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "knowledge", [{"lower_bound": math.nan}, {"proxy": math.nan}, {"proxy": math.inf}]
+    )
+    def test_profile_rejects_non_finite_knowledge(self, knowledge):
+        with pytest.raises(ConfigurationError):
+            VarianceProfile((1.0, 2.0), **knowledge)
 
     @pytest.mark.parametrize("variance", [math.nan, math.inf])
     def test_profile_rejects_non_finite_variance(self, variance):

@@ -115,13 +115,6 @@ def test_symmetric_beta_variance_formula():
         assert draws.var(ddof=1) == pytest.approx(arm.variance, rel=0.02)
 
 
-def test_custom_arm_replays_table():
-    table = (1.0, 2.0, 3.0, 4.0)
-    arm = ArmSpec(Family.CUSTOM, 2.5, 1.25, table)
-    draws = sample_reward(arm, np.random.default_rng(0), 1000)
-    assert set(np.unique(draws)) <= set(table)
-
-
 def test_hypercube_contexts_bounded():
     spec = ContextSpec(dimension=4)
     draws = sample_context(spec, np.random.default_rng(1), 10_000)

@@ -91,6 +91,37 @@ def test_malformed_oracle_input_exit_code(argv, capsys):
     assert "error: argument" in err and "Traceback" not in err
 
 
+def _ini(policy="adaptive", regime="ssg", means="0 0", families="gaussian", knowledge="", extra=""):
+    p = "1" if policy == "contextual" else "inf"
+    return (
+        f"[experiment]\nname = x\npolicy = {policy}\nhorizons = 400\ntrials = 1\n"
+        f"p = {p}\nregime = {regime}\n[arms]\nfamilies = {families}\nvariances = 1 2\n"
+        f"means = {means}\n"
+        f"[knowledge]\n{knowledge}\n{extra}\n"
+    )
+
+
+BAD_VALUE_INIS = [
+    ("proxy", _ini(regime="gsg", knowledge="proxy = nan")),
+    ("mean", _ini(means="nan 0")),
+    ("lower_bound", _ini(policy="nonadaptive", knowledge="lower_bound = nan\nproxy = 2")),
+    (
+        "lambda_min",
+        _ini(policy="contextual", extra="[contextual]\nnum_arms = 2\ndim = 2\nlambda_min = nan"),
+    ),
+    ("batch_growth", _ini(extra="[policy]\nbatch_growth = nan")),
+    ("families", _ini(families="cauchy")),
+]
+
+
+@pytest.mark.parametrize("field, text", BAD_VALUE_INIS, ids=[f for f, _ in BAD_VALUE_INIS])
+def test_bad_config_value_exit_code(field, text, tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["simulate", str(path), "--workers", "1"]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_missing_config_exit_code():
     assert main(["simulate", "/does/not/exist.ini"]) == 2
 

@@ -12,9 +12,6 @@ from varalloc.concentration import (
     radius_gaussian,
     radius_gsg,
     radius_ssg,
-    s_factors_gaussian,
-    s_factors_ssg,
-    MultiplicativeFactors,
     RadiusPair,
 )
 from varalloc.errors import (
@@ -126,16 +123,16 @@ class TestIntervals:
         assert ci.lcb == ci.ucb == 2.5
 
     def test_multiplicative_interval(self):
-        ci = ci_ssg(2.0, MultiplicativeFactors(s_minus=0.5, s_plus=1.0))
+        ci = ci_ssg(2.0, RadiusPair(eps_minus=0.5, eps_plus=1.0))
         assert (ci.lcb, ci.ucb) == (1.0, 4.0)
 
     def test_multiplicative_zero_factors(self):
-        ci = ci_ssg(2.0, MultiplicativeFactors(0.0, 0.0))
+        ci = ci_ssg(2.0, RadiusPair(0.0, 0.0))
         assert ci.lcb == ci.ucb == 2.0
 
     def test_multiplicative_precondition(self):
         with pytest.raises(PhasePreconditionError):
-            ci_ssg(2.0, MultiplicativeFactors(s_minus=1.0, s_plus=0.5))
+            ci_ssg(2.0, RadiusPair(eps_minus=1.0, eps_plus=0.5))
 
     def test_interval_brackets_estimate(self):
         rng = np.random.default_rng(0)
@@ -144,8 +141,8 @@ class TestIntervals:
             r = radius_gsg(int(rng.integers(2, 50)), float(rng.uniform(0.01, 0.5)), 1.0)
             ci = ci_gsg(hat, r)
             assert ci.lcb <= hat <= ci.ucb
-            s = s_factors_ssg(int(rng.integers(50, 500)), 0.01)
-            if s.s_minus < 1.0:
+            s = radius_ssg(int(rng.integers(50, 500)), 0.01, 1.0)
+            if s.eps_minus < 1.0:
                 ci = ci_ssg(hat, s)
                 assert ci.lcb <= hat <= ci.ucb
 
@@ -160,14 +157,6 @@ class TestSchedulesAndFactors:
     def test_bad_algorithm(self):
         with pytest.raises(ConfigurationError):
             delta_schedule("other", 1.0, 100)
-
-    def test_factors_match_unit_variance_radii(self):
-        s = s_factors_ssg(12, 0.05)
-        r = radius_ssg(12, 0.05, 1.0)
-        assert (s.s_minus, s.s_plus) == (r.eps_minus, r.eps_plus)
-        g = s_factors_gaussian(12, 0.05)
-        rg = radius_gaussian(12, 0.05, 1.0)
-        assert (g.s_minus, g.s_plus) == (rg.eps_minus, rg.eps_plus)
 
 
 class TestCoverageNonGaussianFamilies:

@@ -1,6 +1,7 @@
 """Policy state machines: budget identity, determinism, phase logic, stubs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +28,6 @@ class ScriptedEnv:
         self._seqs = [list(map(float, s)) for s in sequences]
         self._pos = [0] * len(sequences)
         self._vars = true_variances
-
-    @property
-    def num_arms(self) -> int:
-        return len(self._seqs)
 
     @property
     def true_variances(self):
@@ -63,7 +60,7 @@ class TestNonAdaptive:
         env = ScriptedEnv([[a, -a], [b, -b] + [0.0] * 6], true_variances=[1.0, 4.0])
         cfg = _gaussian_cfg(
             (1.0, 4.0), 10, regime=Regime.GSG, proxy=4.0,
-            knows_lower_bound=True, lower_bound=1.0,
+            lower_bound=1.0,
         )
         trace = run_nonadaptive(cfg, env)
         assert trace.counts == (2, 8)
@@ -77,7 +74,7 @@ class TestNonAdaptive:
         for seed in range(5):
             cfg = _gaussian_cfg(
                 (1.0, 1.5, 2.5), 200, regime=Regime.GSG, proxy=2.5,
-                knows_lower_bound=True, lower_bound=1.0, seed=seed,
+                lower_bound=1.0, seed=seed,
             )
             trace = run_nonadaptive(cfg)
             assert sum(trace.counts) == 200
@@ -92,7 +89,7 @@ class TestNonAdaptive:
         )
         cfg = _gaussian_cfg(
             (1.0, 1.0), 16, regime=Regime.GSG, proxy=49.0,
-            knows_lower_bound=True, lower_bound=1.0,
+            lower_bound=1.0,
         )
         trace = run_nonadaptive(cfg, env)
         assert trace.counts == (2, 14)
@@ -101,7 +98,7 @@ class TestNonAdaptive:
     def test_deterministic(self):
         cfg = _gaussian_cfg(
             (1.0, 2.0), 300, regime=Regime.GAUSSIAN, proxy=2.0,
-            knows_lower_bound=True, lower_bound=1.0, seed=3,
+            lower_bound=1.0, seed=3,
         )
         assert run_nonadaptive(cfg) == run_nonadaptive(cfg)
 
@@ -110,7 +107,7 @@ class TestAdaptive:
     def test_pinned_intervals_recover_optimum(self):
         truth = (1.0, 4.0)
         cfg = _gaussian_cfg(
-            truth, 200, proxy=4.0, knows_lower_bound=True, lower_bound=1.0, seed=5
+            truth, 200, proxy=4.0, lower_bound=1.0, seed=5
         )
         pin = lambda k, n, s2: ConfidenceInterval(truth[k], truth[k])
         trace = run_adaptive(cfg, ci_override=pin)
@@ -164,29 +161,30 @@ class TestAdaptive:
         assert np.max(np.abs(median - shares)) < 0.05
 
 
+def _contextual_cfg(horizon, k=3, d=2, seed=0, noise_vars=(1.0, 2.0, 4.0)):
+    rng = np.random.default_rng(seed)
+    betas = tuple(tuple(float(b) for b in rng.uniform(-2, 2, d)) for _ in range(k))
+    return PolicyConfig(
+        horizon=horizon,
+        p=1.0,
+        regime=NoiseRegime(Regime.SSG, max(noise_vars)),
+        betas=betas,
+        context_spec=ContextSpec(dimension=d),
+        noise_arms=tuple(gaussian_arm(0.0, v) for v in noise_vars[:k]),
+        lower_bound=min(noise_vars),
+        seed=seed,
+    )
+
+
 class TestContextual:
-    def _cfg(self, horizon, k=3, d=2, seed=0, noise_vars=(1.0, 2.0, 4.0)):
-        rng = np.random.default_rng(seed)
-        betas = tuple(tuple(float(b) for b in rng.uniform(-2, 2, d)) for _ in range(k))
-        return PolicyConfig(
-            horizon=horizon,
-            p=1.0,
-            regime=NoiseRegime(Regime.SSG, max(noise_vars)),
-            betas=betas,
-            context_spec=ContextSpec(dimension=d),
-            noise_arms=tuple(gaussian_arm(0.0, v) for v in noise_vars[:k]),
-            knows_lower_bound=True,
-            lower_bound=min(noise_vars),
-            seed=seed,
-        )
 
     def test_requires_p_one(self):
-        cfg = self._cfg(400)
+        cfg = _contextual_cfg(400)
         with pytest.raises(ConfigurationError):
             run_contextual(PolicyConfig(**{**cfg.__dict__, "p": 2.0}))
 
     def test_noise_free_recovers_coefficients(self):
-        cfg = self._cfg(600, seed=4)
+        cfg = _contextual_cfg(600, seed=4)
         env = ContextualEnv(
             np.asarray(cfg.betas), cfg.context_spec, [None] * 3, seed=9
         )
@@ -195,7 +193,7 @@ class TestContextual:
             assert np.linalg.norm(np.asarray(est) - np.asarray(true)) < 1e-2
 
     def test_budget_identity_and_determinism(self):
-        cfg = self._cfg(500, seed=6)
+        cfg = _contextual_cfg(500, seed=6)
         trace = run_contextual(cfg)
         assert sum(trace.counts) == 500
         assert trace == run_contextual(cfg)
@@ -209,7 +207,7 @@ class TestContextual:
         assert np.linalg.eigvalsh(second).min() > 0.9
 
     def test_commitment_ignores_future_contexts(self):
-        cfg = self._cfg(400, seed=8)
+        cfg = _contextual_cfg(400, seed=8)
         rng = np.random.default_rng(0)
         contexts = rng.uniform(-math.sqrt(3), math.sqrt(3), (400, 2))
         cut = 200
@@ -232,6 +230,108 @@ class TestContextual:
             return seq
 
         assert expand(trace_a.pull_order)[:cut] == expand(trace_b.pull_order)[:cut]
+
+
+# Fixed-seed traces pinned so that a refactor of the policy skeleton shows any
+# change in what a run pulls, in which order, and what it flags.
+PINNED = {
+    "nonadaptive-gsg": (
+        lambda: run_nonadaptive(
+            _gaussian_cfg(
+                (1.0, 1.5, 2.5), 300, regime=Regime.GSG, proxy=2.5,
+                lower_bound=1.0, seed=4,
+            )
+        ),
+        dict(
+            counts=(56, 128, 116),
+            phase1_ends=(50, 50, 50),
+            stopping_times=(50, 50, 50),
+            pull_order=((0, 50), (1, 50), (2, 50), (1, 78), (2, 66), (0, 6)),
+            truncated=False,
+            budget_clamped=False,
+            good_event_held=True,
+        ),
+    ),
+    "adaptive-ssg": (
+        lambda: run_adaptive(_gaussian_cfg((1.0, 3.0), 1500, p=1.0, seed=21)),
+        dict(
+            counts=(541, 959),
+            phase1_ends=(235, 235),
+            stopping_times=(235, 235),
+            pull_order=((0, 132), (1, 132)) + ((0, 1), (1, 1)) * 102
+            + ((0, 1), (1, 725), (0, 306)),
+            truncated=False,
+            budget_clamped=False,
+            good_event_held=True,
+        ),
+    ),
+    "adaptive-gaussian-ucb": (
+        lambda: run_adaptive(
+            _gaussian_cfg(
+                (1.0, 3.0), 1500, regime=Regime.GAUSSIAN, phase3_ucb_mode=True, seed=22
+            )
+        ),
+        dict(
+            counts=(540, 960),
+            phase1_ends=(132, 132),
+            stopping_times=(201, 737),
+            pull_order=(
+                (0, 132), (1, 264), (0, 6), (1, 264), (0, 22), (1, 114), (0, 17),
+                (1, 49), (0, 22), (1, 34), (0, 2), (1, 235), (0, 339),
+            ),
+            truncated=False,
+            budget_clamped=False,
+            good_event_held=True,
+        ),
+    ),
+    "adaptive-known-lower-bound": (
+        lambda: run_adaptive(
+            _gaussian_cfg(
+                (1.0, 2.0, 3.0), 1200, proxy=3.0,
+                lower_bound=1.0, seed=23,
+            )
+        ),
+        dict(
+            counts=(186, 446, 568),
+            phase1_ends=(186, 186, 186),
+            stopping_times=(186, 186, 186),
+            pull_order=((0, 171), (1, 171), (2, 171)) + ((0, 1), (1, 1), (2, 1)) * 14
+            + ((0, 1), (1, 1), (2, 383), (1, 260)),
+            truncated=False,
+            budget_clamped=True,
+            good_event_held=True,
+        ),
+    ),
+    "contextual": (
+        lambda: run_contextual(_contextual_cfg(500, seed=6)),
+        dict(
+            counts=(167, 167, 166),
+            phase1_ends=(167, 167, 166),
+            stopping_times=(167, 167, 166),
+            pull_order=((0, 2), (1, 2), (2, 2), (0, 98), (1, 98), (2, 98))
+            + ((0, 1), (1, 1), (2, 1)) * 66 + ((0, 1), (1, 1)),
+            truncated=True,
+            budget_clamped=True,
+            good_event_held=True,
+            gamma_floored=False,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_trace(name):
+    run, want = PINNED[name]
+    trace = run()
+    assert {field: getattr(trace, field) for field in want} == want
+
+
+def test_nonadaptive_ignores_phase3_ucb_mode():
+    cfg = _gaussian_cfg(
+        (1.0, 2.0, 4.0), 400, regime=Regime.GAUSSIAN, proxy=4.0,
+        lower_bound=1.0, seed=9,
+    )
+    assert run_nonadaptive(cfg) == run_nonadaptive(replace(cfg, phase3_ucb_mode=True))
 
 
 class TestPhaseHelpers:
@@ -273,9 +373,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             PolicyConfig(horizon=100, p=1.0, regime=NoiseRegime(Regime.SSG, None))
 
-    def test_lower_bound_flag_needs_value(self):
-        with pytest.raises(ConfigurationError):
-            _gaussian_cfg((1.0, 2.0), 100, knows_lower_bound=True)
+    def test_nonpositive_lower_bound_rejected(self):
+        for lower_bound in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                _gaussian_cfg((1.0, 2.0), 100, lower_bound=lower_bound)
 
 
 def test_adaptive_gaussian_regime_path():
