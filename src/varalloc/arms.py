@@ -3,8 +3,13 @@
 Every sampler is an immutable spec plus a caller-owned numpy Generator, so
 the full draw sequence is a pure function of (spec, seed).  Environments
 give each arm its own independent substream split from a master seed,
-which makes an arm's i-th draw invariant to the order in which arms are
+which makes an arm's i-th pull invariant to the order in which arms are
 pulled.
+
+The canonical environment hands out the exact (count, mean, m2) summary of
+an arm's next m rewards instead of the rewards themselves.  Gaussian and
+Rademacher summaries are drawn from their closed-form distributions in O(1),
+whatever m; symmetric beta rewards are drawn raw and summarized in place.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
+from .estimation import RunningMoments
 
 
 class Family(str, Enum):
@@ -152,9 +158,22 @@ class CanonicalEnv:
     def true_variances(self) -> list[float]:
         return [a.variance for a in self.arms]
 
-    def pull(self, k: int, m: int = 1) -> np.ndarray:
-        """Observe the next m rewards of arm k."""
-        return sample_reward(self.arms[k], self._rngs[k], m)
+    def pull(self, k: int, m: int = 1) -> RunningMoments:
+        """Summary (n = m, mean, m2) of the next m rewards of arm k.
+
+        Gaussian: the mean is N(mu, v/m) and m2 is v * chi2(m - 1), independent
+        by Cochran's theorem.  Rademacher: b ~ Binomial(m, 1/2) of the m
+        rewards are +1, so the mean is mu + (2b - m)/m and m2 is 4b(m - b)/m.
+        """
+        arm, rng = self.arms[k], self._rngs[k]
+        if arm.family == Family.GAUSSIAN:
+            mean = arm.mean + math.sqrt(arm.variance / m) * rng.standard_normal()
+            m2 = arm.variance * rng.chisquare(m - 1) if m > 1 else 0.0
+            return RunningMoments(m, float(mean), float(m2))
+        if arm.family == Family.RADEMACHER:
+            b = int(rng.binomial(m, 0.5))
+            return RunningMoments(m, arm.mean + (2 * b - m) / m, 4.0 * b * (m - b) / m)
+        return RunningMoments.of(sample_reward(arm, rng, m))
 
 
 class ContextualEnv:

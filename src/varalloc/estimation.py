@@ -1,10 +1,12 @@
 """Streaming mean/variance estimation and ridge regression with residual variance.
 
-RunningMoments keeps the one-pass (mean, sum-of-squared-deviations) recurrence
-so the streaming sample variance equals the two-pass batch value up to
-round-off.  RidgeState keeps the unregularized Gram matrix plus the full
-(context, reward) history, which the residual-based variance estimator needs
-for its recentering step.
+RunningMoments is a (count, mean, sum-of-squared-deviations) summary.  Data
+is folded in by one exact pairwise merge of another summary (`update_many`),
+so a stream folded segment by segment keeps the two-pass variance up to
+round-off, whatever the reward offset.  Environments hand over such
+summaries, and `RunningMoments.of` turns a raw array into one.  RidgeState
+keeps the unregularized Gram matrix plus the full (context, reward) history,
+which the residual-based variance estimator needs for its recentering step.
 """
 
 from __future__ import annotations
@@ -27,25 +29,25 @@ class RunningMoments:
     mean: float = 0.0
     m2: float = 0.0
 
-    def update(self, x: float) -> "RunningMoments":
-        """Fold in one observation (stable one-pass recurrence)."""
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
-        return self
-
-    def update_many(self, xs: np.ndarray) -> "RunningMoments":
-        """Fold in a batch via exact merge of (count, mean, m2) summaries."""
+    @classmethod
+    def of(cls, xs: np.ndarray) -> "RunningMoments":
+        """Two-pass summary of a raw array."""
         xs = np.asarray(xs, dtype=float)
-        nb = xs.size
+        mean = float(xs.mean())
+        return cls(xs.size, mean, float(((xs - mean) ** 2).sum()))
+
+    def update(self, x: float) -> "RunningMoments":
+        """Fold in one observation."""
+        return self.update_many(RunningMoments(1, float(x)))
+
+    def update_many(self, other: "RunningMoments") -> "RunningMoments":
+        """Fold in another stream's summary by the exact (count, mean, m2) merge."""
+        nb = other.n
         if nb == 0:
             return self
-        mb = float(xs.mean())
-        m2b = float(((xs - mb) ** 2).sum())
         n = self.n + nb
-        delta = mb - self.mean
-        self.m2 += m2b + delta * delta * (self.n * nb / n)
+        delta = other.mean - self.mean
+        self.m2 += other.m2 + delta * delta * (self.n * nb / n)
         self.mean += delta * (nb / n)
         self.n = n
         return self
@@ -114,22 +116,6 @@ class RidgeState:
         self.n += len(contexts)
         return self
 
-    @property
-    def contexts(self) -> np.ndarray:
-        if not self._ctx_chunks:
-            return np.zeros((0, self.dim))
-        return np.concatenate(self._ctx_chunks) if len(self._ctx_chunks) > 1 else self._ctx_chunks[0]
-
-    @property
-    def rewards(self) -> np.ndarray:
-        if not self._reward_chunks:
-            return np.zeros(0)
-        return (
-            np.concatenate(self._reward_chunks)
-            if len(self._reward_chunks) > 1
-            else self._reward_chunks[0]
-        )
-
     def estimate(self, gamma: float) -> np.ndarray:
         """Coefficients of the ridge solve (gamma*I + Gram) beta = X'y."""
         if gamma < 0:
@@ -142,7 +128,8 @@ class RidgeState:
             raise InsufficientDataError(
                 f"residual variance needs n >= 2, have n={self.n}"
             )
-        r = self.rewards - self.contexts @ np.asarray(beta_hat, dtype=float)
+        contexts = np.concatenate(self._ctx_chunks)
+        r = np.concatenate(self._reward_chunks) - contexts @ np.asarray(beta_hat, dtype=float)
         return float(((r - r.mean()) ** 2).sum()) / (self.n - 1)
 
 

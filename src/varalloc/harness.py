@@ -304,6 +304,10 @@ class ExperimentConfig:
                 raise ConfigurationError("contextual experiments need num_arms and dim")
         elif self.variances is None:
             raise ConfigurationError("canonical experiments need a variance profile")
+        elif self.beta_shapes is not None and (
+            isinstance(self.beta_shapes, str) or len(self.beta_shapes) != len(self.variances)
+        ):
+            raise ConfigurationError(f"beta_shapes needs one shape per arm: {self.beta_shapes!r}")
 
     @property
     def arm_count(self) -> int:
@@ -510,7 +514,10 @@ def _parse_value_spec(text: str):
 def load_config(path: str) -> ExperimentConfig:
     """Read a flat sectioned key-value experiment file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
     if "experiment" not in parser:
@@ -555,7 +562,7 @@ def load_config(path: str) -> ExperimentConfig:
                 get(contextual, "noise_variances", "uniform 1 4") or ""
             ),
         )
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigurationError(f"bad value in {path}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 

@@ -11,10 +11,17 @@ the budget so that total pulls equal the horizon exactly.
 * run_contextual: the adaptive skeleton with ridge-regression coefficient
   estimates and residual-based variance estimates; the arm for each round
   is committed before that round's context is revealed.
+
+Runs consume per-arm summaries segment by segment (`RunningMoments.update_many`
+of what the environment returns), so a canonical run over Gaussian or
+Rademacher arms costs O(K * pull segments), not O(T).  Under SSG or Gaussian
+radii the first phase's pass threshold does not depend on the data; it is
+found once, and failing arms top up to it in one pull each.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -172,10 +179,9 @@ class _CIEngine:
             lcb, ucb = ci.lcb, ci.ucb
             ok = sigma_sq_hat - r.eps_plus > 0.0
         else:
-            radius = radius_ssg if self.regime.regime == Regime.SSG else radius_gaussian
-            s = radius(n, self.delta, 1.0)  # per unit variance: the factors s-, s+
-            ok = s.eps_minus < 1.0 and sigma_sq_hat > 0.0
-            if s.eps_minus < 1.0:
+            s, usable = self._unit_radii(n)
+            ok = usable and sigma_sq_hat > 0.0
+            if usable:
                 ci = ci_ssg(sigma_sq_hat, s)
                 lcb, ucb = ci.lcb, ci.ucb
             else:  # upper bound undefined this early; lower bound still usable
@@ -185,6 +191,26 @@ class _CIEngine:
             if not (lcb <= v <= ucb):
                 self.good = False
         return lcb, ucb, ok
+
+    def _unit_radii(self, n: int):
+        """SSG or Gaussian radii at unit variance (the factors s-, s+), and
+        whether the multiplicative interval is defined at n."""
+        radius = radius_ssg if self.regime.regime == Regime.SSG else radius_gaussian
+        s = radius(n, self.delta, 1.0)
+        return s, s.eps_minus < 1.0
+
+    def phase1_threshold(self) -> int | None:
+        """First n at which `evaluate` can pass, when that does not depend on
+        the data (SSG or Gaussian radii, no override): s_minus falls in n, so
+        doubling then bisection finds it.  None otherwise."""
+        if self.override is not None or self.regime.regime == Regime.GSG:
+            return None
+        usable = lambda n: self._unit_radii(n)[1]
+        hi = 2
+        while not usable(hi):
+            hi *= 2
+        lo = hi // 2 + 1  # hi // 2 is not usable, unless hi == 2
+        return lo + bisect.bisect_left(range(lo, hi + 1), True, key=usable)
 
 
 class _CanonicalRun:
@@ -224,9 +250,6 @@ class _CanonicalRun:
 
     def means(self):
         return tuple(mom.mean for mom in self.moments)
-
-    def encoded_order(self):
-        return tuple((k, m) for k, m in self.order)
 
 
 class _ContextualRun(_CanonicalRun):
@@ -304,8 +327,8 @@ def _phase3_weights(cfg, run, ci_engine, q, use_ucb: bool):
 
 
 def _phase1(cfg, run, ci_engine, q, adaptive: bool) -> tuple[list[int], bool]:
-    """Initial pulls; the adaptive policy then tops arms up one by one until
-    every LCB is positive.  Returns the counts and whether the budget ran out
+    """Initial pulls; the adaptive policy then tops arms up until every
+    phase-1 check passes.  Returns the counts and whether the budget ran out
     before every arm passed."""
     k_arms, horizon = cfg.num_arms, cfg.horizon
     if cfg.lower_bound is not None:
@@ -329,10 +352,17 @@ def _phase1(cfg, run, ci_engine, q, adaptive: bool) -> tuple[list[int], bool]:
     failing = [k for k in range(k_arms) if not ok(k)]
     if not adaptive:  # fixed length: the checks above only record the good event
         return run.pulls.copy(), False
+    # A failing arm jumps straight to the first n that can pass, when that n
+    # is known and the budget covers every failing arm's gap; otherwise it
+    # takes one pull per round, so a starved run splits its pulls evenly.
+    n_star = ci_engine.phase1_threshold() or 0
     while failing and run.budget > 0:
+        steps = [max(1, n_star - run.pulls[k]) for k in failing]
+        if sum(steps) > run.budget:
+            steps = [1] * len(failing)
         still = []
-        for k in failing:
-            if run.draw(k, 1) == 0:
+        for k, step in zip(failing, steps):
+            if run.draw(k, step) == 0:
                 still.append(k)
                 continue
             if not ok(k):
@@ -409,7 +439,7 @@ def _run_policy(cfg: PolicyConfig, run, adaptive: bool, ci_override=None) -> Pol
         truncated=truncated,
         budget_clamped=clamped,
         gamma_floored=run.gamma_floored,
-        pull_order=run.encoded_order(),
+        pull_order=tuple(map(tuple, run.order)),
     )
 
 

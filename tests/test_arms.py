@@ -20,6 +20,7 @@ from varalloc.arms import (
     symmetric_beta_arm,
 )
 from varalloc.errors import ConfigurationError
+from varalloc.estimation import RunningMoments
 
 
 def test_zero_variance_rejected():
@@ -171,3 +172,69 @@ def test_contextual_env_rejects_biased_noise():
 def test_gsg_regime_requires_proxy():
     with pytest.raises(ConfigurationError):
         NoiseRegime(Regime.GSG, None)
+
+
+def _spread(values):
+    """Mean and variance of a sample, each with its standard error."""
+    values = np.asarray(values, dtype=float)
+    reps = len(values)
+    sq = (values - values.mean()) ** 2
+    return (values.mean(), values.std(ddof=1) / math.sqrt(reps)), (
+        sq.mean(), sq.std(ddof=1) / math.sqrt(reps)
+    )
+
+
+def _agree(a, b):
+    (est_a, se_a), (est_b, se_b) = a, b
+    return abs(est_a - est_b) <= 4.0 * math.hypot(se_a, se_b)
+
+
+@pytest.mark.parametrize(
+    "arm, m",
+    [(gaussian_arm(0.3, 2.0), m) for m in (1, 2, 50)]
+    + [(rademacher_arm(-0.4), m) for m in (2, 7, 1000)],
+)
+def test_pull_summary_matches_raw_draws(arm, m):
+    reps = 2000
+    env = CanonicalEnv([arm], 31)
+    summaries = [env.pull(0, m) for _ in range(reps)]
+    assert all(s.n == m for s in summaries)
+    raw = sample_reward(arm, np.random.default_rng(32), reps * m).reshape(reps, m)
+    raw_means = raw.mean(axis=1)
+    for a, b in zip(_spread([s.mean for s in summaries]), _spread(raw_means)):
+        assert _agree(a, b)
+    if m == 1:
+        assert all(s.m2 == 0.0 for s in summaries)
+        return
+    raw_vars = ((raw - raw_means[:, None]) ** 2).sum(axis=1) / (m - 1)
+    for a, b in zip(_spread([s.m2 / (m - 1) for s in summaries]), _spread(raw_vars)):
+        assert _agree(a, b)
+
+
+class _FixedBinomial:
+    """Generator stand-in whose binomial draw is fixed."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def binomial(self, m, prob):
+        return self.b
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 1000])
+def test_rademacher_summary_formula_matches_two_pass(m):
+    arm = rademacher_arm(0.25)
+    draws = sample_reward(arm, np.random.default_rng(m), m)
+    env = CanonicalEnv([arm], 0)
+    env._rngs[0] = _FixedBinomial(int((draws > arm.mean).sum()))
+    got, want = env.pull(0, m), RunningMoments.of(draws)
+    assert got.n == want.n
+    assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-12)
+    assert got.m2 == pytest.approx(want.m2, rel=1e-12, abs=1e-9)
+
+
+def test_beta_pull_summarizes_raw_draws():
+    arm = symmetric_beta_arm(0.2, 1.5)
+    got = CanonicalEnv([arm], 8).pull(0, 40)
+    rng = np.random.SeedSequence(8).spawn(1)[0]
+    assert got == RunningMoments.of(sample_reward(arm, np.random.default_rng(rng), 40))

@@ -111,6 +111,7 @@ BAD_VALUE_INIS = [
     ),
     ("batch_growth", _ini(extra="[policy]\nbatch_growth = nan")),
     ("families", _ini(families="cauchy")),
+    ("beta_shapes", _ini(families="symmetric_beta\nbeta_shapes = 2")),
 ]
 
 
@@ -120,6 +121,21 @@ def test_bad_config_value_exit_code(field, text, tmp_path, capsys):
     path.write_text(text)
     assert main(["simulate", str(path), "--workers", "1"]) == 2
     assert field in capsys.readouterr().err
+
+
+UNPARSABLE_INIS = {
+    "repeated-section": _ini() + "[experiment]\nname = y\n",
+    "no-section-header": "name = x\n" + _ini(),
+    "bad-interpolation": _ini().replace("name = x", "name = 50%"),
+}
+
+
+@pytest.mark.parametrize("text", UNPARSABLE_INIS.values(), ids=UNPARSABLE_INIS.keys())
+def test_unparsable_config_exit_code(text, tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["simulate", str(path), "--workers", "1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_config_exit_code():

@@ -39,7 +39,7 @@ class TestRunningMoments:
 
     def test_constant_stream_zero_variance(self):
         m = RunningMoments()
-        m.update_many(np.array([3.0, 3.0, 3.0]))
+        m.update_many(RunningMoments.of(np.array([3.0, 3.0, 3.0])))
         assert m.sample_variance() == 0.0
 
     def test_insufficient_data(self):
@@ -54,10 +54,34 @@ class TestRunningMoments:
     def test_streaming_matches_batch(self, values, chunk):
         stream = RunningMoments()
         for i in range(0, len(values), chunk):
-            stream.update_many(np.asarray(values[i : i + chunk]))
+            stream.update_many(RunningMoments.of(np.asarray(values[i : i + chunk])))
         batch = float(np.var(values, ddof=1))
         scale = max(batch, 1e-9 * (1.0 + max(abs(v) for v in values) ** 2))
         assert abs(stream.sample_variance() - batch) <= 1e-10 * scale + 1e-12
+
+    def test_of_is_two_pass(self):
+        xs = np.array([2.0, 4.0, 9.0])
+        m = RunningMoments.of(xs)
+        assert (m.n, m.mean, m.m2) == (3, 5.0, 26.0)
+
+    def test_merge_with_empty_is_identity(self):
+        m = RunningMoments(4, 1.5, 3.0)
+        assert m.update_many(RunningMoments()) == RunningMoments(4, 1.5, 3.0)
+        assert RunningMoments().update_many(m) == m
+
+    def test_merge_cancellation_at_large_offset(self):
+        # a naive sum-of-squares merge loses every digit of the variance here
+        rng = np.random.default_rng(41)
+        xs = 1e8 + rng.normal(0.0, 1.0, 20_000)
+        cuts = np.sort(rng.choice(np.arange(1, xs.size), 40, replace=False))
+        merged = RunningMoments()
+        for chunk in np.split(xs, cuts):
+            merged.update_many(RunningMoments.of(chunk))
+        for x in xs[:3]:
+            merged.update(x)
+        ref = np.concatenate([xs, xs[:3]])
+        assert merged.n == ref.size
+        assert merged.sample_variance() == pytest.approx(np.var(ref, ddof=1), rel=1e-9)
 
     def test_unbiased_over_replications(self):
         rng = np.random.default_rng(17)

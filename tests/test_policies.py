@@ -1,16 +1,19 @@
 """Policy state machines: budget identity, determinism, phase logic, stubs."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from varalloc.arms import ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm
-from varalloc.concentration import ConfidenceInterval
+from varalloc.concentration import ConfidenceInterval, delta_schedule
 from varalloc.errors import ConfigurationError, ContractViolation
+from varalloc.estimation import RunningMoments
 from varalloc.policies import (
     PolicyConfig,
+    _CIEngine,
     phase1_length,
     phase2_schedule,
     run_adaptive,
@@ -33,12 +36,12 @@ class ScriptedEnv:
     def true_variances(self):
         return self._vars
 
-    def pull(self, k: int, m: int = 1) -> np.ndarray:
+    def pull(self, k: int, m: int = 1) -> RunningMoments:
         i = self._pos[k]
         if i + m > len(self._seqs[k]):
             raise ContractViolation(f"scripted sequence for arm {k} exhausted")
         self._pos[k] = i + m
-        return np.asarray(self._seqs[k][i : i + m])
+        return RunningMoments.of(self._seqs[k][i : i + m])
 
 
 def _gaussian_cfg(variances, horizon, p=INF, regime=Regime.SSG, proxy=None, seed=0, **kw):
@@ -233,7 +236,8 @@ class TestContextual:
 
 
 # Fixed-seed traces pinned so that a refactor of the policy skeleton shows any
-# change in what a run pulls, in which order, and what it flags.
+# change in what a run pulls, in which order, and what it flags.  The canonical
+# ones follow the summary stream of CanonicalEnv.pull.
 PINNED = {
     "nonadaptive-gsg": (
         lambda: run_nonadaptive(
@@ -243,10 +247,10 @@ PINNED = {
             )
         ),
         dict(
-            counts=(56, 128, 116),
+            counts=(54, 85, 161),
             phase1_ends=(50, 50, 50),
             stopping_times=(50, 50, 50),
-            pull_order=((0, 50), (1, 50), (2, 50), (1, 78), (2, 66), (0, 6)),
+            pull_order=((0, 50), (1, 50), (2, 161), (1, 35), (0, 4)),
             truncated=False,
             budget_clamped=False,
             good_event_held=True,
@@ -255,11 +259,10 @@ PINNED = {
     "adaptive-ssg": (
         lambda: run_adaptive(_gaussian_cfg((1.0, 3.0), 1500, p=1.0, seed=21)),
         dict(
-            counts=(541, 959),
+            counts=(523, 977),
             phase1_ends=(235, 235),
             stopping_times=(235, 235),
-            pull_order=((0, 132), (1, 132)) + ((0, 1), (1, 1)) * 102
-            + ((0, 1), (1, 725), (0, 306)),
+            pull_order=((0, 132), (1, 132), (0, 103), (1, 845), (0, 288)),
             truncated=False,
             budget_clamped=False,
             good_event_held=True,
@@ -272,12 +275,12 @@ PINNED = {
             )
         ),
         dict(
-            counts=(540, 960),
+            counts=(533, 967),
             phase1_ends=(132, 132),
-            stopping_times=(201, 737),
+            stopping_times=(182, 747),
             pull_order=(
-                (0, 132), (1, 264), (0, 6), (1, 264), (0, 22), (1, 114), (0, 17),
-                (1, 49), (0, 22), (1, 34), (0, 2), (1, 235), (0, 339),
+                (0, 132), (1, 528), (0, 20), (1, 116), (0, 18), (1, 43), (0, 5),
+                (1, 41), (0, 6), (1, 17), (0, 1), (1, 222), (0, 351),
             ),
             truncated=False,
             budget_clamped=False,
@@ -292,13 +295,14 @@ PINNED = {
             )
         ),
         dict(
-            counts=(186, 446, 568),
+            counts=(222, 350, 628),
             phase1_ends=(186, 186, 186),
             stopping_times=(186, 186, 186),
-            pull_order=((0, 171), (1, 171), (2, 171)) + ((0, 1), (1, 1), (2, 1)) * 14
-            + ((0, 1), (1, 1), (2, 383), (1, 260)),
+            pull_order=(
+                (0, 171), (1, 171), (2, 171), (0, 15), (1, 15), (2, 457), (1, 164), (0, 36),
+            ),
             truncated=False,
-            budget_clamped=True,
+            budget_clamped=False,
             good_event_held=True,
         ),
     ),
@@ -386,3 +390,54 @@ def test_adaptive_gaussian_regime_path():
     assert trace.good_event_held
     # larger-variance arm ends with the larger share
     assert trace.counts[1] > trace.counts[0]
+
+
+class TestPhase1Threshold:
+    @pytest.mark.parametrize("regime", [Regime.SSG, Regime.GAUSSIAN])
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("horizon", [10**3, 10**4, 10**6, 10**9])
+    def test_matches_linear_scan_of_evaluate(self, regime, p, horizon):
+        engine = _CIEngine(NoiseRegime(regime), delta_schedule("adaptive", p, horizon), None)
+        n = 2
+        while not engine.evaluate(0, n, 1.0)[2]:
+            n += 1
+        assert engine.phase1_threshold() == n
+
+    def test_unknown_under_gsg_or_override(self):
+        delta = delta_schedule("adaptive", INF, 10**4)
+        assert _CIEngine(NoiseRegime(Regime.GSG, 2.0), delta, None).phase1_threshold() is None
+        pin = lambda k, n, s2: ConfidenceInterval(1.0, 1.0)
+        engine = _CIEngine(NoiseRegime(Regime.SSG), delta, None, override=pin)
+        assert engine.phase1_threshold() is None
+
+    @pytest.mark.parametrize("regime", [Regime.SSG, Regime.GAUSSIAN])
+    @pytest.mark.parametrize("p, horizon", [(INF, 10**4), (1.0, 10**4), (INF, 10**6)])
+    def test_phase1_ends_at_threshold(self, regime, p, horizon):
+        variances = (1.0, 1.5, 2.0, 2.5)
+        cfg = _gaussian_cfg(variances, horizon, p=p, regime=regime, seed=3)
+        trace = run_adaptive(cfg)
+        assert not trace.truncated
+        n_star = _CIEngine(cfg.regime, delta_schedule("adaptive", p, horizon), None)
+        start = phase1_length(regime, None, horizon, len(variances))
+        assert trace.phase1_ends == (max(start, n_star.phase1_threshold()),) * len(variances)
+
+    def test_starved_run_keeps_round_robin(self):
+        # the budget cannot carry every arm to the threshold, so phase 1 tops
+        # up one pull per arm per round until it runs out
+        cfg = _gaussian_cfg((1.0, 2.0, 4.0), 300, p=1.0, proxy=4.0, lower_bound=1.0, seed=5)
+        trace = run_adaptive(cfg)
+        assert trace.truncated and trace.counts == (100, 100, 100)
+        start = trace.pull_order[0][1]
+        assert trace.pull_order[3:] == ((0, 1), (1, 1), (2, 1)) * (100 - start)
+
+
+def test_horizon_is_a_parameter_not_a_loop_count():
+    cfg = _gaussian_cfg((1.0, 1.5, 2.0, 2.5), 10**9, seed=11)
+    tracemalloc.start()
+    try:
+        trace = run_adaptive(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(trace.counts) == 10**9
+    assert peak < 2**20
