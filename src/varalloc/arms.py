@@ -6,10 +6,13 @@ give each arm its own independent substream split from a master seed,
 which makes an arm's i-th pull invariant to the order in which arms are
 pulled.
 
-The canonical environment hands out the exact (count, mean, m2) summary of
-an arm's next m rewards instead of the rewards themselves.  Gaussian and
+Both environments answer a pull of m rounds with a summary of what those
+rounds observed, never the raw draws: the canonical one with the exact
+(count, mean, m2) `RunningMoments` of an arm's next m rewards, the contextual
+one with the `RidgeState` of its m (context, reward) rows.  Gaussian and
 Rademacher summaries are drawn from their closed-form distributions in O(1),
-whatever m; symmetric beta rewards are drawn raw and summarized in place.
+whatever m; symmetric beta rewards and contextual rows are drawn raw and
+summarized in place.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .estimation import RunningMoments
+from .estimation import RidgeState, RunningMoments
 
 
 class Family(str, Enum):
@@ -229,11 +232,12 @@ class ContextualEnv:
         self._round += m
         return out
 
-    def pull(self, k: int, m: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Commit arm k for the next m rounds; returns (contexts, rewards)."""
+    def pull(self, k: int, m: int = 1) -> RidgeState:
+        """Commit arm k for the next m rounds; returns the `RidgeState`
+        summary of those rounds' (context, reward) rows."""
         ctx = self._next_contexts(m)
-        if self.noise_arms[k] is None:
-            return ctx, ctx @ self.betas[k]
-        noise = sample_reward(self.noise_arms[k], self._noise_rngs[k], m)
-        return ctx, ctx @ self.betas[k] + noise
+        rewards = ctx @ self.betas[k]
+        if self.noise_arms[k] is not None:
+            rewards = rewards + sample_reward(self.noise_arms[k], self._noise_rngs[k], m)
+        return RidgeState.of(ctx, rewards, self.spec.lambda_min)
 

@@ -23,7 +23,7 @@ from .errors import VarallocError
 from .harness import (
     _fmt,
     apply_overrides,
-    bound_value,
+    config_bound,
     load_config,
     oracle_best_allocation,
     parse_p,
@@ -88,18 +88,9 @@ def _cmd_bounds(args) -> int:
     variances = cfg.noise_variances if cfg.policy == "contextual" else cfg.variances
     if variances is None or isinstance(variances, str):
         raise VarallocError("bound curves need a fixed variance profile")
-    profile = VarianceProfile(variances, lower_bound=cfg.lower_bound, proxy=cfg.proxy)
     rows = []
     for horizon in cfg.horizons:
-        value = bound_value(
-            cfg.bound,
-            profile,
-            cfg.arm_count,
-            horizon,
-            cfg.p,
-            dim=cfg.dim,
-            lambda_min_c=cfg.lambda_min if cfg.policy == "contextual" else None,
-        )
+        value = config_bound(cfg, variances, horizon)
         rows.append((cfg.name, cfg.bound, cfg.arm_count, cfg.p, horizon, value))
         print(f"T={horizon:>8d}  {cfg.bound} = {value:.6g}")
     if cfg.output:

@@ -1,12 +1,11 @@
-"""Streaming mean/variance estimation and ridge regression with residual variance.
+"""Per-arm statistics: streaming mean/variance and ridge regression.
 
-RunningMoments is a (count, mean, sum-of-squared-deviations) summary.  Data
-is folded in by one exact pairwise merge of another summary (`update_many`),
-so a stream folded segment by segment keeps the two-pass variance up to
-round-off, whatever the reward offset.  Environments hand over such
-summaries, and `RunningMoments.of` turns a raw array into one.  RidgeState
-keeps the unregularized Gram matrix plus the full (context, reward) history,
-which the residual-based variance estimator needs for its recentering step.
+Both statistics classes share one protocol: a count `n`, `update_many` that
+folds in an environment's summary of one pull segment, `variance()` and
+`point()`; `of` summarizes raw draws.  RunningMoments is (count, mean, m2),
+merged exactly, so a stream folded segment by segment keeps the two-pass
+variance up to round-off.  RidgeState keeps the unregularized Gram matrix,
+X'y and the (context, reward) history its residual variance recenters over.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ SINGULARITY_RTOL = 1e-12
 @dataclass
 class RunningMoments:
     """Count, mean, and sum of squared deviations for one reward stream."""
+
+    floored = False  # no ridge penalty to floor
 
     n: int = 0
     mean: float = 0.0
@@ -52,10 +53,13 @@ class RunningMoments:
         self.n = n
         return self
 
-    def sample_variance(self) -> float:
+    def variance(self) -> float:
         if self.n < 2:
             raise InsufficientDataError(f"sample variance needs n >= 2, have n={self.n}")
         return self.m2 / (self.n - 1)
+
+    def point(self) -> float:
+        return self.mean
 
 
 def gamma_schedule(lambda_min: float, n: int) -> float:
@@ -80,14 +84,17 @@ def _solve_spd(v: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RidgeState:
-    """Accumulated design for one arm: Gram matrix, X'y, and full history."""
+    """One arm's design: Gram matrix, X'y, and the full (context, reward) history."""
 
     dim: int
+    lambda_min: float = 1.0
     n: int = 0
     gram: np.ndarray = None
     xty: np.ndarray = None
+    floored: bool = False  # some point() fell back to the 1e-8 penalty floor
     _ctx_chunks: list = field(default_factory=list)
     _reward_chunks: list = field(default_factory=list)
+    _variance_at: tuple = (-1, 0.0)  # (n, variance()) of the last computation
 
     def __post_init__(self):
         if self.gram is None:
@@ -95,25 +102,31 @@ class RidgeState:
         if self.xty is None:
             self.xty = np.zeros(self.dim)
 
-    def update(self, c: np.ndarray, x: float) -> "RidgeState":
-        return self.update_many(np.asarray(c, dtype=float)[None, :], np.array([x]))
+    @classmethod
+    def of(cls, contexts: np.ndarray, rewards: np.ndarray, lambda_min: float) -> "RidgeState":
+        """Summary of raw rows: contexts (m, d), one reward each."""
+        contexts, rewards = np.asarray(contexts, dtype=float), np.asarray(rewards, dtype=float)
+        if contexts.ndim != 2 or len(rewards) != len(contexts):
+            raise ContractViolation(f"need (m, d) contexts and m rewards, got {contexts.shape}")
+        return cls(
+            contexts.shape[1], lambda_min, len(contexts), contexts.T @ contexts,
+            contexts.T @ rewards, _ctx_chunks=[contexts], _reward_chunks=[rewards],
+        )
 
-    def update_many(self, contexts: np.ndarray, rewards: np.ndarray) -> "RidgeState":
-        contexts = np.asarray(contexts, dtype=float)
-        rewards = np.asarray(rewards, dtype=float)
-        if contexts.ndim != 2 or contexts.shape[1] != self.dim:
-            raise ContractViolation(
-                f"contexts must be (m, {self.dim}), got {contexts.shape}"
-            )
-        if len(rewards) != len(contexts):
-            raise ContractViolation("one reward per context required")
-        if len(contexts) == 0:
+    def update(self, c: np.ndarray, x: float) -> "RidgeState":
+        return self.update_many(RidgeState.of([c], [x], self.lambda_min))
+
+    def update_many(self, other: "RidgeState") -> "RidgeState":
+        """Fold in another summary; this state's lambda_min stays."""
+        if other.dim != self.dim:
+            raise ContractViolation(f"contexts must have dimension {self.dim}, got {other.dim}")
+        if other.n == 0:
             return self
-        self.gram += contexts.T @ contexts
-        self.xty += contexts.T @ rewards
-        self._ctx_chunks.append(contexts)
-        self._reward_chunks.append(rewards)
-        self.n += len(contexts)
+        self.gram += other.gram
+        self.xty += other.xty
+        self._ctx_chunks += other._ctx_chunks
+        self._reward_chunks += other._reward_chunks
+        self.n += other.n
         return self
 
     def estimate(self, gamma: float) -> np.ndarray:
@@ -121,6 +134,23 @@ class RidgeState:
         if gamma < 0:
             raise ContractViolation("gamma must be nonnegative")
         return _solve_spd(gamma * np.eye(self.dim) + self.gram, self.xty)
+
+    def point(self) -> tuple[float, ...]:
+        """Ridge coefficients at penalty lambda_min / n; a singular system is
+        solved again at penalty 1e-8, and `floored` is set."""
+        gamma = gamma_schedule(self.lambda_min, max(self.n, 1))
+        try:
+            beta = self.estimate(gamma)
+        except SingularSystemError:
+            self.floored = True
+            beta = self.estimate(max(gamma, 1e-8))
+        return tuple(beta.tolist())
+
+    def variance(self) -> float:
+        """Residual variance at `point()`, computed once per count n."""
+        if self._variance_at[0] != self.n:
+            self._variance_at = (self.n, self.residual_variance(self.point()))
+        return self._variance_at[1]
 
     def residual_variance(self, beta_hat: np.ndarray) -> float:
         """Recentered sample variance of the residuals over the full history."""

@@ -295,6 +295,13 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"unknown arm families {unknown}")
         validate_norm_order(self.p)
+        for what in ("means", "noise_variances"):
+            if isinstance(getattr(self, what), str):
+                _uniform_bounds(getattr(self, what), what)
+        if not -math.inf < self.beta_low <= self.beta_high < math.inf:
+            raise ConfigurationError(
+                f"need finite beta_low <= beta_high, got {self.beta_low}, {self.beta_high}"
+            )
         horizons = tuple(sorted(set(int(t) for t in self.horizons)))
         if not horizons:
             raise ConfigurationError("at least one horizon required")
@@ -304,6 +311,8 @@ class ExperimentConfig:
                 raise ConfigurationError("contextual experiments need num_arms and dim")
         elif self.variances is None:
             raise ConfigurationError("canonical experiments need a variance profile")
+        elif isinstance(self.variances, str):
+            raise ConfigurationError(f"variances must list one value per arm: {self.variances!r}")
         elif self.beta_shapes is not None and (
             isinstance(self.beta_shapes, str) or len(self.beta_shapes) != len(self.variances)
         ):
@@ -335,19 +344,36 @@ class Row:
     runtime_ms: int
 
 
+def _uniform_bounds(spec: str, what: str) -> tuple[float, float]:
+    """(a, b) of a 'uniform a b' spec; both finite, a <= b."""
+    parts = spec.split()
+    try:
+        lo, hi = (float(x) for x in parts[1:])
+        ok = parts[0] == "uniform" and -math.inf < lo <= hi < math.inf
+    except ValueError:  # not two numbers after the keyword
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"{what} must be 'uniform a b' with finite a <= b, got {spec!r}")
+    return lo, hi
+
+
 def _draw_values(spec, count: int, rng, what: str) -> tuple[float, ...]:
     """A fixed list, or 'uniform a b' drawn per trial."""
     if spec is None:
         return (0.0,) * count
     if isinstance(spec, str):
-        parts = spec.split()
-        if len(parts) != 3 or parts[0] != "uniform":
-            raise ConfigurationError(f"bad {what} spec {spec!r}")
-        lo, hi = float(parts[1]), float(parts[2])
+        lo, hi = _uniform_bounds(spec, what)
         return tuple(float(x) for x in rng.uniform(lo, hi, count))
     if len(spec) != count:
         raise ConfigurationError(f"{what} must list one value per arm")
     return tuple(float(x) for x in spec)
+
+
+def config_bound(cfg: ExperimentConfig, variances, horizon: int) -> float:
+    """The config's bound curve at one horizon, for the given true variances."""
+    profile = VarianceProfile(tuple(variances), lower_bound=cfg.lower_bound, proxy=cfg.proxy)
+    lambda_min_c = cfg.lambda_min if cfg.policy == "contextual" else None
+    return bound_value(cfg.bound, profile, cfg.arm_count, horizon, cfg.p, cfg.dim, lambda_min_c)
 
 
 def _canonical_arms(cfg: ExperimentConfig, rng) -> list[ArmSpec]:
@@ -414,19 +440,7 @@ def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
 
     bound_name, bound = "", None
     if cfg.bound:
-        profile = VarianceProfile(
-            tuple(true_vars), lower_bound=cfg.lower_bound, proxy=cfg.proxy
-        )
-        bound_name = cfg.bound
-        bound = bound_value(
-            cfg.bound,
-            profile,
-            cfg.arm_count,
-            horizon,
-            cfg.p,
-            dim=cfg.dim,
-            lambda_min_c=cfg.lambda_min if cfg.policy == "contextual" else None,
-        )
+        bound_name, bound = cfg.bound, config_bound(cfg, true_vars, horizon)
     return Row(
         experiment=cfg.name,
         policy=cfg.policy,

@@ -12,11 +12,12 @@ the budget so that total pulls equal the horizon exactly.
   estimates and residual-based variance estimates; the arm for each round
   is committed before that round's context is revealed.
 
-Runs consume per-arm summaries segment by segment (`RunningMoments.update_many`
-of what the environment returns), so a canonical run over Gaussian or
-Rademacher arms costs O(K * pull segments), not O(T).  Under SSG or Gaussian
-radii the first phase's pass threshold does not depend on the data; it is
-found once, and failing arms top up to it in one pull each.
+The policies differ only in each arm's statistics object, `RunningMoments`
+or `RidgeState`: `_Run` folds the environment's summary of each pull segment
+into it and reads `variance()` and `point()` back, so a canonical run over
+Gaussian or Rademacher arms costs O(K * pull segments), not O(T).  Under SSG
+or Gaussian radii the first phase's pass threshold does not depend on the
+data; it is found once, and failing arms top up to it in one pull each.
 """
 
 from __future__ import annotations
@@ -55,12 +56,8 @@ from .concentration import (
     radius_gsg,
     radius_ssg,
 )
-from .errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    SingularSystemError,
-)
-from .estimation import RidgeState, RunningMoments, gamma_schedule
+from .errors import ConfigurationError, DegenerateInputError
+from .estimation import RidgeState, RunningMoments
 
 # Upper bound on elimination sweeps; the share iteration converges in far
 # fewer, this only guards against pathological stalls.
@@ -213,27 +210,24 @@ class _CIEngine:
         return lo + bisect.bisect_left(range(lo, hi + 1), True, key=usable)
 
 
-class _CanonicalRun:
-    """Budget bookkeeping over a reward environment."""
+class _Run:
+    """Budget bookkeeping over per-arm statistics.  `seed_pulls` is what every
+    arm gets before the first phase, `objective_scale` the objective's factor."""
 
-    # Pulls every arm gets before the first phase proper, the factor the
-    # reported objective carries, and whether a ridge penalty was floored.
-    seed_pulls = 0
-    objective_scale = 1.0
-    gamma_floored = False
-
-    def __init__(self, env, num_arms: int, horizon: int):
+    def __init__(self, env, stats: list, horizon: int, seed_pulls=0, objective_scale=1.0):
         self.env = env
+        self.stats = stats
         self.budget = horizon
-        self.pulls = [0] * num_arms
-        self.moments = [RunningMoments() for _ in range(num_arms)]
+        self.pulls = [0] * len(stats)
         self.order: list[list[int]] = []
+        self.seed_pulls = seed_pulls
+        self.objective_scale = objective_scale
 
     def draw(self, k: int, m: int) -> int:
         m = min(m, self.budget)
         if m <= 0:
             return 0
-        self._consume(k, m)
+        self.stats[k].update_many(self.env.pull(k, m))
         self.pulls[k] += m
         self.budget -= m
         if self.order and self.order[-1][0] == k:
@@ -242,51 +236,8 @@ class _CanonicalRun:
             self.order.append([k, m])
         return m
 
-    def _consume(self, k: int, m: int):
-        self.moments[k].update_many(self.env.pull(k, m))
-
     def sigma_hat(self, k: int) -> float:
-        return self.moments[k].sample_variance()
-
-    def means(self):
-        return tuple(mom.mean for mom in self.moments)
-
-
-class _ContextualRun(_CanonicalRun):
-    """Adds ridge states and residual-based variance estimates."""
-
-    def __init__(self, env, num_arms: int, horizon: int, lambda_min: float):
-        super().__init__(env, num_arms, horizon)
-        self.lambda_min = lambda_min
-        self.seed_pulls = env.dimension  # a ridge state is solvable from d rows
-        self.objective_scale = 2.0 * env.dimension / lambda_min
-        self.states = [RidgeState(env.dimension) for _ in range(num_arms)]
-        self._cache: dict[int, tuple[int, float]] = {}
-
-    def _consume(self, k: int, m: int):
-        contexts, rewards = self.env.pull(k, m)
-        self.states[k].update_many(contexts, rewards)
-
-    def beta_hat(self, k: int) -> np.ndarray:
-        state = self.states[k]
-        gamma = gamma_schedule(self.lambda_min, max(state.n, 1))
-        try:
-            return state.estimate(gamma)
-        except SingularSystemError:
-            self.gamma_floored = True
-            return state.estimate(max(gamma, 1e-8))
-
-    def sigma_hat(self, k: int) -> float:
-        state = self.states[k]
-        cached = self._cache.get(k)
-        if cached is not None and cached[0] == state.n:
-            return cached[1]
-        value = state.residual_variance(self.beta_hat(k))
-        self._cache[k] = (state.n, value)
-        return value
-
-    def means(self):
-        return tuple(tuple(float(b) for b in self.beta_hat(k)) for k in range(len(self.states)))
+        return self.stats[k].variance()
 
 
 def _fill_by_priority(run, counts, priority) -> bool:
@@ -425,7 +376,7 @@ def _run_policy(cfg: PolicyConfig, run, adaptive: bool, ci_override=None) -> Pol
         realized = run.objective_scale * objective_rp(run.pulls, truth, cfg.p)
         optimal = run.objective_scale * optimal_objective(profile, cfg.p, cfg.horizon)
         regret = realized - optimal
-    estimates = run.means()  # can floor a ridge penalty: read before gamma_floored
+    estimates = tuple(stats.point() for stats in run.stats)  # can set `floored`
     return PolicyTrace(
         counts=tuple(run.pulls),
         phase1_ends=tuple(phase1_ends),
@@ -438,9 +389,15 @@ def _run_policy(cfg: PolicyConfig, run, adaptive: bool, ci_override=None) -> Pol
         good_event_held=ci_engine.good,
         truncated=truncated,
         budget_clamped=clamped,
-        gamma_floored=run.gamma_floored,
+        gamma_floored=any(stats.floored for stats in run.stats),
         pull_order=tuple(map(tuple, run.order)),
     )
+
+
+def _canonical_run(cfg: PolicyConfig, env) -> _Run:
+    if env is None:
+        env = CanonicalEnv(list(cfg.arms), cfg.seed)
+    return _Run(env, [RunningMoments() for _ in range(cfg.num_arms)], cfg.horizon)
 
 
 def run_nonadaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
@@ -449,19 +406,14 @@ def run_nonadaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
         raise ConfigurationError("the non-adaptive policy requires a variance lower bound")
     if cfg.arms is None:
         raise ConfigurationError("the non-adaptive policy runs on canonical arms")
-    if env is None:
-        env = CanonicalEnv(list(cfg.arms), cfg.seed)
-    return _run_policy(cfg, _CanonicalRun(env, cfg.num_arms, cfg.horizon), adaptive=False)
+    return _run_policy(cfg, _canonical_run(cfg, env), adaptive=False)
 
 
 def run_adaptive(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace:
     """Three-phase adaptive policy; needs no variance floor."""
     if cfg.arms is None:
         raise ConfigurationError("the adaptive policy runs on canonical arms")
-    if env is None:
-        env = CanonicalEnv(list(cfg.arms), cfg.seed)
-    run = _CanonicalRun(env, cfg.num_arms, cfg.horizon)
-    return _run_policy(cfg, run, adaptive=True, ci_override=ci_override)
+    return _run_policy(cfg, _canonical_run(cfg, env), adaptive=True, ci_override=ci_override)
 
 
 def run_contextual(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace:
@@ -477,10 +429,10 @@ def run_contextual(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace
             list(cfg.noise_arms),
             cfg.seed,
         )
-    k_arms = cfg.num_arms
-    if cfg.horizon < k_arms * max(env.dimension, 2):
-        raise ConfigurationError(
-            "horizon too small to seed every arm's ridge state"
-        )
-    run = _ContextualRun(env, k_arms, cfg.horizon, cfg.context_spec.lambda_min)
+    d, lambda_min = env.dimension, cfg.context_spec.lambda_min
+    if cfg.horizon < cfg.num_arms * max(d, 2):
+        raise ConfigurationError("horizon too small to seed every arm's ridge state")
+    stats = [RidgeState(d, lambda_min) for _ in range(cfg.num_arms)]
+    # a ridge state is solvable from d rows
+    run = _Run(env, stats, cfg.horizon, seed_pulls=d, objective_scale=2.0 * d / lambda_min)
     return _run_policy(cfg, run, adaptive=True, ci_override=ci_override)

@@ -20,7 +20,7 @@ from varalloc.arms import (
     symmetric_beta_arm,
 )
 from varalloc.errors import ConfigurationError
-from varalloc.estimation import RunningMoments
+from varalloc.estimation import RidgeState, RunningMoments
 
 
 def test_zero_variance_rejected():
@@ -140,8 +140,8 @@ def test_context_determinism():
 def test_contextual_env_inner_product():
     betas = np.array([[1.0, 2.0]])
     env = ContextualEnv(betas, ContextSpec(dimension=2), [None], 0, contexts=[[3.0, 1.0]])
-    _, rewards = env.pull(0, 1)
-    assert rewards.tolist() == [5.0]
+    state = env.pull(0, 1)
+    assert state.xty.tolist() == [15.0, 5.0]  # the context times its reward 5
 
 
 def test_contextual_env_rejects_dimension_mismatch():
@@ -150,18 +150,45 @@ def test_contextual_env_rejects_dimension_mismatch():
 
 
 def test_contextual_env_noise_moments():
-    env = ContextualEnv(np.zeros((1, 3)), ContextSpec(dimension=3), [gaussian_arm(0.0, 1.0)], 4)
-    _, draws = env.pull(0, 20_000)
-    assert abs(draws.mean()) < 0.03
-    assert draws.var(ddof=1) == pytest.approx(1.0, rel=0.05)
+    # with contexts all 1 and beta = 0, X'y / n is the mean of the noise draws
+    # and the residual variance at beta = 0 their sample variance
+    n = 20_000
+    env = ContextualEnv(
+        np.zeros((1, 1)), ContextSpec(dimension=1), [gaussian_arm(0.0, 1.0)], 4,
+        contexts=np.ones((n, 1)),
+    )
+    state = env.pull(0, n)
+    assert abs(state.xty[0] / state.n) < 0.03
+    assert state.residual_variance(np.zeros(1)) == pytest.approx(1.0, rel=0.05)
 
 
 def test_contextual_env_linear_rewards():
     betas = np.array([[1.0, -1.0]])
     env = ContextualEnv(betas, ContextSpec(dimension=2), [None], 0)
-    ctx, rewards = env.pull(0, 100)
-    np.testing.assert_allclose(rewards, ctx @ betas[0])
+    state = env.pull(0, 100)
+    np.testing.assert_allclose(state.xty, state.gram @ betas[0])  # X'y = X'X beta
     assert env.true_variances is None
+
+
+def test_contextual_pull_summarizes_its_rows():
+    betas = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 1.0]])
+    spec = ContextSpec(dimension=3, lambda_min=0.5)
+    contexts = np.random.default_rng(1).uniform(-1.0, 1.0, (12, 3))
+    arm = gaussian_arm(0.0, 2.0)
+    env = ContextualEnv(betas, spec, [arm, None], 7, contexts=contexts)
+    got = [env.pull(0, 5), env.pull(1, 4), env.pull(0, 3)]
+    noise = np.random.default_rng(np.random.SeedSequence(7).spawn(3)[1])  # arm 0's stream
+    rows = [
+        (contexts[:5], contexts[:5] @ betas[0] + sample_reward(arm, noise, 5)),
+        (contexts[5:9], contexts[5:9] @ betas[1]),
+        (contexts[9:], contexts[9:] @ betas[0] + sample_reward(arm, noise, 3)),
+    ]
+    for state, (ctx, rewards) in zip(got, rows):
+        want = RidgeState.of(ctx, rewards, 0.5)
+        assert (state.dim, state.lambda_min, state.n) == (3, 0.5, len(ctx))
+        np.testing.assert_array_equal(state.gram, want.gram)
+        np.testing.assert_array_equal(state.xty, want.xty)
+        assert state.residual_variance(np.zeros(3)) == want.residual_variance(np.zeros(3))
 
 
 def test_contextual_env_rejects_biased_noise():

@@ -91,16 +91,20 @@ def test_malformed_oracle_input_exit_code(argv, capsys):
     assert "error: argument" in err and "Traceback" not in err
 
 
-def _ini(policy="adaptive", regime="ssg", means="0 0", families="gaussian", knowledge="", extra=""):
+def _ini(
+    policy="adaptive", regime="ssg", means="0 0", families="gaussian", knowledge="", extra="",
+    variances="1 2",
+):
     p = "1" if policy == "contextual" else "inf"
     return (
         f"[experiment]\nname = x\npolicy = {policy}\nhorizons = 400\ntrials = 1\n"
-        f"p = {p}\nregime = {regime}\n[arms]\nfamilies = {families}\nvariances = 1 2\n"
+        f"p = {p}\nregime = {regime}\n[arms]\nfamilies = {families}\nvariances = {variances}\n"
         f"means = {means}\n"
         f"[knowledge]\n{knowledge}\n{extra}\n"
     )
 
 
+CONTEXTUAL = "[contextual]\nnum_arms = 2\ndim = 2\n"
 BAD_VALUE_INIS = [
     ("proxy", _ini(regime="gsg", knowledge="proxy = nan")),
     ("mean", _ini(means="nan 0")),
@@ -112,6 +116,11 @@ BAD_VALUE_INIS = [
     ("batch_growth", _ini(extra="[policy]\nbatch_growth = nan")),
     ("families", _ini(families="cauchy")),
     ("beta_shapes", _ini(families="symmetric_beta\nbeta_shapes = 2")),
+    ("means", _ini(means="uniform nan 1")),
+    ("noise_variances", _ini(policy="contextual", extra=CONTEXTUAL + "noise_variances = uniform 3 1")),
+    ("beta_low", _ini(policy="contextual", extra=CONTEXTUAL + "beta_low = nan")),
+    ("beta_high", _ini(policy="contextual", extra=CONTEXTUAL + "beta_low = 3\nbeta_high = 1")),
+    ("variances", _ini(variances="uniform 1 2", means="uniform -1 1")),
 ]
 
 

@@ -28,23 +28,23 @@ class TestRunningMoments:
         m = RunningMoments()
         m.update(1.0).update(-1.0)
         assert (m.n, m.mean, m.m2) == (2, 0.0, 2.0)
-        assert m.sample_variance() == 2.0
+        assert m.variance() == 2.0
 
     def test_batch_formula_value(self):
         m = RunningMoments()
         for x in [0.0, 1.0, 2.0, 3.0]:
             m.update(x)
         assert m.m2 == pytest.approx(5.0)
-        assert m.sample_variance() == pytest.approx(5.0 / 3.0)
+        assert m.variance() == pytest.approx(5.0 / 3.0)
 
     def test_constant_stream_zero_variance(self):
         m = RunningMoments()
         m.update_many(RunningMoments.of(np.array([3.0, 3.0, 3.0])))
-        assert m.sample_variance() == 0.0
+        assert m.variance() == 0.0
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            RunningMoments().update(1.0).sample_variance()
+            RunningMoments().update(1.0).variance()
 
     @given(
         st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=60),
@@ -57,7 +57,7 @@ class TestRunningMoments:
             stream.update_many(RunningMoments.of(np.asarray(values[i : i + chunk])))
         batch = float(np.var(values, ddof=1))
         scale = max(batch, 1e-9 * (1.0 + max(abs(v) for v in values) ** 2))
-        assert abs(stream.sample_variance() - batch) <= 1e-10 * scale + 1e-12
+        assert abs(stream.variance() - batch) <= 1e-10 * scale + 1e-12
 
     def test_of_is_two_pass(self):
         xs = np.array([2.0, 4.0, 9.0])
@@ -81,7 +81,7 @@ class TestRunningMoments:
             merged.update(x)
         ref = np.concatenate([xs, xs[:3]])
         assert merged.n == ref.size
-        assert merged.sample_variance() == pytest.approx(np.var(ref, ddof=1), rel=1e-9)
+        assert merged.variance() == pytest.approx(np.var(ref, ddof=1), rel=1e-9)
 
     def test_unbiased_over_replications(self):
         rng = np.random.default_rng(17)
@@ -117,7 +117,7 @@ class TestRidge:
     def test_zero_rewards_zero_estimate(self):
         s = RidgeState(2)
         rng = np.random.default_rng(0)
-        s.update_many(rng.normal(size=(5, 2)), np.zeros(5))
+        s.update_many(RidgeState.of(rng.normal(size=(5, 2)), np.zeros(5), 1.0))
         np.testing.assert_allclose(s.estimate(0.5), np.zeros(2))
 
     def test_singular_at_gamma_zero(self):
@@ -129,6 +129,35 @@ class TestRidge:
         with pytest.raises(ContractViolation):
             RidgeState(2).update([1.0], 1.0)
 
+    def test_chunked_merge_equals_one_shot(self):
+        # integer data keeps every Gram and X'y sum exact, whatever the order
+        rng = np.random.default_rng(12)
+        contexts = rng.integers(-5, 6, (40, 3)).astype(float)
+        rewards = rng.integers(-9, 10, 40).astype(float)
+        chunked = RidgeState(3, 0.5)
+        for lo, hi in [(0, 1), (1, 1), (1, 14), (14, 15), (15, 40)]:
+            chunked.update_many(RidgeState.of(contexts[lo:hi], rewards[lo:hi], 0.5))
+        whole = RidgeState.of(contexts, rewards, 0.5)
+        assert chunked.n == whole.n == 40
+        np.testing.assert_array_equal(chunked.gram, whole.gram)
+        np.testing.assert_array_equal(chunked.xty, whole.xty)
+        beta = whole.estimate(0.1)
+        assert chunked.residual_variance(beta) == whole.residual_variance(beta)
+
+    def test_point_floors_a_singular_penalty(self):
+        s = RidgeState(2, 1e-12).update([1.0, 0.0], 1.0)
+        assert not s.floored
+        assert s.point() == pytest.approx((1.0, 0.0), abs=1e-6)
+        assert s.floored
+
+    def test_variance_is_residual_variance_at_point(self):
+        rng = np.random.default_rng(4)
+        s = RidgeState(2, 2.0)
+        s.update_many(RidgeState.of(rng.normal(size=(6, 2)), rng.normal(size=6), 2.0))
+        assert s.variance() == s.residual_variance(s.point())
+        s.update([0.5, -1.0], 3.0)  # a new count recomputes
+        assert s.variance() == s.residual_variance(s.point())
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
     def test_shrinkage_in_gamma(self, seed):
@@ -136,7 +165,7 @@ class TestRidge:
         d = int(rng.integers(1, 4))
         n = d + int(rng.integers(2, 8))
         s = RidgeState(d)
-        s.update_many(rng.normal(size=(n, d)), rng.normal(size=n))
+        s.update_many(RidgeState.of(rng.normal(size=(n, d)), rng.normal(size=n), 1.0))
         gammas = sorted(rng.uniform(0.0, 5.0, 2))
         lo = np.linalg.norm(s.estimate(gammas[1]))
         hi = np.linalg.norm(s.estimate(gammas[0]))
@@ -156,7 +185,7 @@ class TestResidualVariance:
         rng = np.random.default_rng(3)
         beta = np.array([1.0, -2.0])
         contexts = rng.normal(size=(30, 2))
-        s = RidgeState(2).update_many(contexts, contexts @ beta)
+        s = RidgeState(2).update_many(RidgeState.of(contexts, contexts @ beta, 1.0))
         assert s.residual_variance(beta) == pytest.approx(0.0, abs=1e-20)
 
     def test_reduces_to_sample_variance(self):
@@ -169,7 +198,7 @@ class TestResidualVariance:
         n, beta = 10**4, np.array([0.7, -1.3])
         contexts = rng.uniform(-math.sqrt(3), math.sqrt(3), (n, 2))
         rewards = contexts @ beta + rng.normal(0.0, math.sqrt(2.0), n)
-        s = RidgeState(2).update_many(contexts, rewards)
+        s = RidgeState(2).update_many(RidgeState.of(contexts, rewards, 1.0))
         beta_hat = s.estimate(gamma_schedule(1.0, n))
         assert s.residual_variance(beta_hat) == pytest.approx(2.0, abs=0.15)
 

@@ -204,8 +204,8 @@ class TestContextual:
     def test_hypercube_second_moment_consistency(self):
         spec = ContextSpec(dimension=4)
         env = ContextualEnv(np.zeros((1, 4)), spec, [gaussian_arm(0.0, 1.0)], 3)
-        ctx, _ = env.pull(0, 50_000)
-        second = ctx.T @ ctx / len(ctx)
+        state = env.pull(0, 50_000)
+        second = state.gram / state.n
         assert np.allclose(second, np.eye(4), atol=0.03)
         assert np.linalg.eigvalsh(second).min() > 0.9
 
@@ -233,6 +233,22 @@ class TestContextual:
             return seq
 
         assert expand(trace_a.pull_order)[:cut] == expand(trace_b.pull_order)[:cut]
+
+    def test_floored_ridge_penalty_reaches_trace(self):
+        # the second context coordinate is always 0, so every Gram matrix is
+        # singular and the penalty 1e-12 / n cannot be solved at; the run
+        # falls back to the 1e-8 floor and the trace says so
+        cfg = replace(_contextual_cfg(300, seed=2), context_spec=ContextSpec(2, 1e-12))
+        contexts = np.random.default_rng(5).uniform(-math.sqrt(3), math.sqrt(3), (300, 2))
+        contexts[:, 1] = 0.0
+        env = ContextualEnv(
+            np.asarray(cfg.betas), cfg.context_spec, list(cfg.noise_arms), cfg.seed,
+            contexts=contexts,
+        )
+        trace = run_contextual(cfg, env)
+        assert trace.gamma_floored
+        assert sum(trace.counts) == 300
+        assert all(est[1] == 0.0 for est in trace.estimates)
 
 
 # Fixed-seed traces pinned so that a refactor of the policy skeleton shows any
