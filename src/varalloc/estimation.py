@@ -91,7 +91,7 @@ class RidgeState:
     n: int = 0
     gram: np.ndarray = None
     xty: np.ndarray = None
-    floored: bool = False  # some point() fell back to the 1e-8 penalty floor
+    floored: bool = False  # some point() fell back to the penalty floor
     _ctx_chunks: list = field(default_factory=list)
     _reward_chunks: list = field(default_factory=list)
     _variance_at: tuple = (-1, 0.0)  # (n, variance()) of the last computation
@@ -137,13 +137,15 @@ class RidgeState:
 
     def point(self) -> tuple[float, ...]:
         """Ridge coefficients at penalty lambda_min / n; a singular system is
-        solved again at penalty 1e-8, and `floored` is set."""
+        solved again at penalty 1e-8 * max(1, largest Gram eigenvalue), and
+        `floored` is set."""
         gamma = gamma_schedule(self.lambda_min, max(self.n, 1))
         try:
             beta = self.estimate(gamma)
         except SingularSystemError:
             self.floored = True
-            beta = self.estimate(max(gamma, 1e-8))
+            floor = 1e-8 * max(1.0, float(np.linalg.eigvalsh(self.gram)[-1]))
+            beta = self.estimate(max(gamma, floor))
         return tuple(beta.tolist())
 
     def variance(self) -> float:

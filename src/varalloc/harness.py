@@ -5,6 +5,10 @@ and trial it runs one policy, records the realized regret next to the matching
 theoretical leading-term curve, and emits plot-ready CSV rows.  Rows are
 keyed by (horizon, trial) and written in sorted key order, so output is
 deterministic regardless of worker scheduling.
+
+Experiment files are read through one table of sections and keys, each key
+named after the ExperimentConfig field it sets; building an ExperimentConfig
+makes every check a trial would make, so a bad file fails before any run.
 """
 
 from __future__ import annotations
@@ -113,6 +117,12 @@ def make_bound_curve(
     name = theorem.lower()
     if name not in BOUND_NAMES:
         raise ConfigurationError(f"unknown bound curve {theorem!r}")
+    if name.endswith(("_inf", "_finite")) and name.endswith("_inf") != math.isinf(p):
+        raise ConfigurationError(f"bound {name} does not apply at p = {p}")
+    if name.startswith(("t5", "t8")) and (dim is None or lambda_min_c is None):
+        raise ConfigurationError(f"{name} needs dim and lambda_min_c")
+    if name.startswith(("t3", "t5")) and profile.proxy is None:
+        raise ConfigurationError(f"{name} needs the variance proxy")
     q = q_of_p(p)
     s_q = profile.power_sum(q)
     s_2 = profile.power_sum(2.0)
@@ -127,30 +137,18 @@ def make_bound_curve(
         const = 4.0 * math.sqrt(2.0) * proxy * factor
         return BoundCurve(name, const, -1.5, 0.5)
     if name == "t2_finite":
-        if math.isinf(p):
-            raise ConfigurationError("t2_finite needs a finite norm order")
         share = _initial_share(profile, num_arms, q)
         factor = p**2 * s_q ** (1.0 / p) * profile.power_sum(q - 4.0) / (share * (p + 1.0))
         return BoundCurve(name, 24.0 * proxy**2 * factor, -2.0, 1.0)
     if name == "t3_inf":
-        if proxy is None:
-            raise ConfigurationError("t3_inf needs the variance proxy")
         factor = math.sqrt(s_2) * (
             profile.power_sum(-1.0) + s_2 / sd_min**3 - 2.0 / sd_min
         )
         return BoundCurve(name, 8.0 * proxy * factor, -1.5, 0.5)
     if name == "t3_finite":
-        if math.isinf(p):
-            raise ConfigurationError("t3_finite needs a finite norm order")
-        if proxy is None:
-            raise ConfigurationError("t3_finite needs the variance proxy")
         factor = p**2 * s_q ** (2.0 / q) * profile.power_sum(-4.0) / (p + 1.0)
         return BoundCurve(name, 40.0 * proxy**2 * factor, -2.0, 1.0)
     if name == "t5_contextual":
-        if dim is None or lambda_min_c is None:
-            raise ConfigurationError("t5_contextual needs dim and lambda_min_c")
-        if proxy is None:
-            raise ConfigurationError("t5_contextual needs the variance proxy")
         factor = p**2 * s_q ** (2.0 / q) * profile.power_sum(-4.0) / (p + 1.0)
         return BoundCurve(name, 80.0 * dim * proxy / lambda_min_c * factor, -2.0, 1.0)
     if name == "t6_ssg_nonadaptive":
@@ -166,13 +164,9 @@ def make_bound_curve(
         )
         return BoundCurve(name, const, -1.5, 0.5)
     if name == "t7_ssg_adaptive_finite":
-        if math.isinf(p):
-            raise ConfigurationError("t7_ssg_adaptive_finite needs a finite norm order")
         const = 5.0 * num_arms * p**2 * s_q ** (2.0 / q) / (p + 1.0)
         return BoundCurve(name, const, -2.0, 1.0)
     # t8_contextual_ssg
-    if dim is None or lambda_min_c is None:
-        raise ConfigurationError("t8_contextual_ssg needs dim and lambda_min_c")
     return BoundCurve(name, 5.0 * dim * num_arms * s_1**2 / lambda_min_c, -2.0, 1.0)
 
 
@@ -245,11 +239,15 @@ def slope_estimate(table) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a policy, a horizon grid, and the sampling model."""
+    """One experiment: a policy, a horizon grid, and the sampling model.
 
-    name: str
-    policy: str
-    horizons: tuple[int, ...]
+    Construction makes every check a trial makes, on two template trials
+    whose per-trial draws sit at the low and at the high end of their ranges.
+    """
+
+    name: str = "experiment"
+    policy: str = "nonadaptive"
+    horizons: tuple[int, ...] = ()
     trials: int = 100
     seed: int = 0
     p: float = math.inf
@@ -291,13 +289,12 @@ class ExperimentConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.knows_lower_bound and self.lower_bound is None:
             raise ConfigurationError("knows_lower_bound requires a lower_bound")
+        if self.policy == "nonadaptive" and not self.knows_lower_bound:
+            raise ConfigurationError("the non-adaptive policy needs a known lower_bound")
         unknown = [f for f in self.families if f not in [family.value for family in Family]]
         if unknown:
             raise ConfigurationError(f"unknown arm families {unknown}")
         validate_norm_order(self.p)
-        for what in ("means", "noise_variances"):
-            if isinstance(getattr(self, what), str):
-                _uniform_bounds(getattr(self, what), what)
         if not -math.inf < self.beta_low <= self.beta_high < math.inf:
             raise ConfigurationError(
                 f"need finite beta_low <= beta_high, got {self.beta_low}, {self.beta_high}"
@@ -307,16 +304,32 @@ class ExperimentConfig:
             raise ConfigurationError("at least one horizon required")
         object.__setattr__(self, "horizons", horizons)
         if self.policy == "contextual":
-            if self.num_arms is None or self.dim is None:
-                raise ConfigurationError("contextual experiments need num_arms and dim")
-        elif self.variances is None:
-            raise ConfigurationError("canonical experiments need a variance profile")
-        elif isinstance(self.variances, str):
-            raise ConfigurationError(f"variances must list one value per arm: {self.variances!r}")
-        elif self.beta_shapes is not None and (
-            isinstance(self.beta_shapes, str) or len(self.beta_shapes) != len(self.variances)
-        ):
-            raise ConfigurationError(f"beta_shapes needs one shape per arm: {self.beta_shapes!r}")
+            if self.num_arms is None or self.dim is None or self.num_arms < 1:
+                raise ConfigurationError("contextual experiments need num_arms >= 1 and dim")
+            _check_values(self.noise_variances, self.num_arms, "noise_variances")
+        elif not self.variances or isinstance(self.variances, str):
+            raise ConfigurationError(
+                f"canonical experiments need variances, one per arm, got {self.variances!r}"
+            )
+        else:
+            count = len(self.variances)
+            if len(self.families) not in (1, count):
+                raise ConfigurationError(
+                    f"families must name one family or one per arm ({count}): {self.families}"
+                )
+            if Family.SYMMETRIC_BETA in self.families and self.beta_shapes is None:
+                raise ConfigurationError("symmetric_beta arms need beta_shapes")
+            _check_values(self.means, count, "means")
+            _check_values(self.beta_shapes, count, "beta_shapes", may_draw=False)
+        templates = [_policy_config(self, horizons[0], _RangeEnd(high)) for high in (False, True)]
+        for arm, listed in zip(templates[0].arms or (), self.variances or ()):
+            try:  # the listed variance must be the one the arm's family has
+                replace(arm, variance=listed)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"variances: {exc}") from None
+        if self.bound:
+            for template in templates:
+                config_bound(self, _true_variances(template), horizons[0])
 
     @property
     def arm_count(self) -> int:
@@ -344,28 +357,40 @@ class Row:
     runtime_ms: int
 
 
-def _uniform_bounds(spec: str, what: str) -> tuple[float, float]:
-    """(a, b) of a 'uniform a b' spec; both finite, a <= b."""
-    parts = spec.split()
-    try:
-        lo, hi = (float(x) for x in parts[1:])
-        ok = parts[0] == "uniform" and -math.inf < lo <= hi < math.inf
-    except ValueError:  # not two numbers after the keyword
-        ok = False
-    if not ok:
-        raise ConfigurationError(f"{what} must be 'uniform a b' with finite a <= b, got {spec!r}")
-    return lo, hi
+def _check_values(spec, count: int, what: str, may_draw: bool = True):
+    """None, one value per arm, or (if may_draw) 'uniform a b' with finite a <= b."""
+    if isinstance(spec, str) and may_draw:
+        parts = spec.split()
+        try:
+            lo, hi = (float(x) for x in parts[1:])
+            ok = parts[0] == "uniform" and -math.inf < lo <= hi < math.inf
+        except ValueError:  # not two numbers after the keyword
+            ok = False
+        if not ok:
+            raise ConfigurationError(
+                f"{what} must be 'uniform a b' with finite a <= b, got {spec!r}"
+            )
+    elif spec is not None and (isinstance(spec, str) or len(spec) != count):
+        raise ConfigurationError(f"{what} needs one value per arm ({count}): {spec!r}")
 
 
-def _draw_values(spec, count: int, rng, what: str) -> tuple[float, ...]:
+class _RangeEnd:
+    """Stands in for a trial's Generator: every uniform draw is one end of its range."""
+
+    def __init__(self, high: bool):
+        self.high = high
+
+    def uniform(self, low, high, size):
+        return np.full(size, high if self.high else low)
+
+
+def _draw_values(spec, count: int, rng) -> tuple[float, ...]:
     """A fixed list, or 'uniform a b' drawn per trial."""
     if spec is None:
         return (0.0,) * count
     if isinstance(spec, str):
-        lo, hi = _uniform_bounds(spec, what)
+        lo, hi = (float(x) for x in spec.split()[1:])
         return tuple(float(x) for x in rng.uniform(lo, hi, count))
-    if len(spec) != count:
-        raise ConfigurationError(f"{what} must list one value per arm")
     return tuple(float(x) for x in spec)
 
 
@@ -376,34 +401,21 @@ def config_bound(cfg: ExperimentConfig, variances, horizon: int) -> float:
     return bound_value(cfg.bound, profile, cfg.arm_count, horizon, cfg.p, cfg.dim, lambda_min_c)
 
 
-def _canonical_arms(cfg: ExperimentConfig, rng) -> list[ArmSpec]:
+def _canonical_arms(cfg: ExperimentConfig, means) -> tuple[ArmSpec, ...]:
+    """Each arm from its family: rademacher and beta variances follow from the family."""
     count = len(cfg.variances)
-    families = cfg.families
-    if len(families) == 1:
-        families = families * count
-    if len(families) != count:
-        raise ConfigurationError("families must broadcast over the arms")
-    means = _draw_values(cfg.means, count, rng, "means")
-    arms = []
-    for i, fam in enumerate(families):
-        fam = Family(fam)
-        if fam == Family.GAUSSIAN:
-            arms.append(gaussian_arm(means[i], cfg.variances[i]))
-        elif fam == Family.RADEMACHER:
-            if cfg.variances[i] != 1.0:
-                raise ConfigurationError("rademacher arms have variance 1")
-            arms.append(rademacher_arm(means[i]))
-        elif fam == Family.SYMMETRIC_BETA:
-            if cfg.beta_shapes is None:
-                raise ConfigurationError("beta arms need beta_shapes")
-            arms.append(symmetric_beta_arm(means[i], cfg.beta_shapes[i]))
-    return arms
+    families = cfg.families * count if len(cfg.families) == 1 else cfg.families
+    shapes = cfg.beta_shapes or (None,) * count
+    return tuple(
+        rademacher_arm(mean) if family == Family.RADEMACHER
+        else symmetric_beta_arm(mean, shape) if family == Family.SYMMETRIC_BETA
+        else gaussian_arm(mean, variance)
+        for family, mean, variance, shape in zip(families, means, cfg.variances, shapes)
+    )
 
 
-def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
-    entropy = np.random.SeedSequence([cfg.seed, horizon, trial])
-    model_seq, env_seq = entropy.spawn(2)
-    rng = np.random.default_rng(model_seq)
+def _policy_config(cfg: ExperimentConfig, horizon: int, rng) -> PolicyConfig:
+    """One trial's policy inputs, with its means, betas and noise variances drawn from rng."""
     common = dict(
         horizon=horizon,
         p=cfg.p,
@@ -412,35 +424,45 @@ def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
         phase3_ucb_mode=cfg.phase3_ucb,
         batch_growth=cfg.batch_growth,
     )
+    if cfg.policy != "contextual":
+        means = _draw_values(cfg.means, len(cfg.variances), rng)
+        return PolicyConfig(arms=_canonical_arms(cfg, means), **common)
+    spec = ContextSpec(dimension=cfg.dim, lambda_min=cfg.lambda_min)
+    betas = rng.uniform(cfg.beta_low, cfg.beta_high, (cfg.num_arms, cfg.dim))
+    noise_vars = _draw_values(cfg.noise_variances, cfg.num_arms, rng)
+    return PolicyConfig(
+        betas=tuple(tuple(b) for b in betas),
+        context_spec=spec,
+        noise_arms=tuple(gaussian_arm(0.0, v) for v in noise_vars),
+        **common,
+    )
+
+
+def _true_variances(policy_cfg: PolicyConfig) -> tuple[float, ...]:
+    return tuple(arm.variance for arm in policy_cfg.arms or policy_cfg.noise_arms)
+
+
+def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
+    entropy = np.random.SeedSequence([cfg.seed, horizon, trial])
+    model_seq, env_seq = entropy.spawn(2)
+    rng = np.random.default_rng(model_seq)
 
     start = time.perf_counter()
+    policy_cfg = _policy_config(cfg, horizon, rng)
     if cfg.policy == "contextual":
-        dim, k = cfg.dim, cfg.num_arms
-        betas = rng.uniform(cfg.beta_low, cfg.beta_high, (k, dim))
-        noise_vars = _draw_values(cfg.noise_variances, k, rng, "noise_variances")
-        noise_arms = [gaussian_arm(0.0, v) for v in noise_vars]
-        spec = ContextSpec(dimension=dim, lambda_min=cfg.lambda_min)
-        policy_cfg = PolicyConfig(
-            betas=tuple(tuple(b) for b in betas),
-            context_spec=spec,
-            noise_arms=tuple(noise_arms),
-            **common,
+        env = ContextualEnv(
+            policy_cfg.betas, policy_cfg.context_spec, policy_cfg.noise_arms, env_seq
         )
-        env = ContextualEnv(betas, spec, noise_arms, env_seq)
         trace = run_contextual(policy_cfg, env)
-        true_vars = noise_vars
     else:
-        arms = _canonical_arms(cfg, rng)
-        policy_cfg = PolicyConfig(arms=tuple(arms), **common)
-        env = CanonicalEnv(arms, env_seq)
+        env = CanonicalEnv(policy_cfg.arms, env_seq)
         runner = run_nonadaptive if cfg.policy == "nonadaptive" else run_adaptive
         trace = runner(policy_cfg, env)
-        true_vars = tuple(a.variance for a in arms)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
 
     bound_name, bound = "", None
     if cfg.bound:
-        bound_name, bound = cfg.bound, config_bound(cfg, true_vars, horizon)
+        bound_name, bound = cfg.bound, config_bound(cfg, _true_variances(policy_cfg), horizon)
     return Row(
         experiment=cfg.name,
         policy=cfg.policy,
@@ -516,8 +538,7 @@ def parse_p(text: str) -> float:
 
 
 def _parse_value_spec(text: str):
-    """Either a numeric list or a 'uniform a b' draw-per-trial spec."""
-    text = text.strip()
+    """Either a numeric list or a 'uniform a b' draw-per-trial spec; empty is None."""
     if not text:
         return None
     if text.startswith("uniform"):
@@ -525,8 +546,42 @@ def _parse_value_spec(text: str):
     return tuple(float(x) for x in text.split())
 
 
+def _optional(parse):
+    return lambda text: parse(text) if text else None
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+# section -> key -> parser of its text; each key sets the ExperimentConfig field it names
+_CONFIG_KEYS = {
+    "experiment": {
+        "name": str, "policy": str, "trials": int, "seed": int, "p": parse_p, "regime": str,
+        "horizons": lambda text: tuple(map(int, text.split())),
+        "bound": _optional(str), "output": _optional(str),
+    },
+    "arms": {
+        "families": lambda text: tuple(text.split()),
+        "variances": _parse_value_spec,
+        "means": _parse_value_spec,
+        "beta_shapes": _parse_value_spec,
+    },
+    "knowledge": {"lower_bound": _optional(float), "proxy": _optional(float)},
+    "policy": {"phase3_ucb": _flag, "batch_growth": float},
+    "contextual": {
+        "num_arms": _optional(int), "dim": _optional(int), "lambda_min": float,
+        "beta_low": float, "beta_high": float, "noise_variances": _parse_value_spec,
+    },
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read a flat sectioned key-value experiment file."""
+    """Read a sectioned key-value experiment file (sections and keys of
+    _CONFIG_KEYS); a key the file leaves out keeps its ExperimentConfig default,
+    and the policies know the variance floor when the file sets lower_bound."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = parser.read(path)
@@ -534,51 +589,18 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
-    if "experiment" not in parser:
-        raise ConfigurationError(f"{path} is missing the [experiment] section")
-    exp = parser["experiment"]
-    arms = parser["arms"] if "arms" in parser else {}
-    knowledge = parser["knowledge"] if "knowledge" in parser else {}
-    policy = parser["policy"] if "policy" in parser else {}
-    contextual = parser["contextual"] if "contextual" in parser else {}
-
-    def get(section, key, default=None):
-        return section.get(key, default) if key in section else default
-
-    try:
-        kwargs = dict(
-            name=exp.get("name", "experiment"),
-            policy=exp.get("policy", "nonadaptive"),
-            horizons=tuple(int(t) for t in exp.get("horizons", "").split()),
-            trials=int(exp.get("trials", "100")),
-            seed=int(exp.get("seed", "0")),
-            p=parse_p(exp.get("p", "inf")),
-            regime=exp.get("regime", "gsg"),
-            bound=exp.get("bound", "") or None,
-            output=exp.get("output", "") or None,
-            families=tuple((get(arms, "families", "gaussian") or "gaussian").split()),
-            variances=_parse_value_spec(get(arms, "variances", "") or ""),
-            means=_parse_value_spec(get(arms, "means", "uniform -1 1") or ""),
-            beta_shapes=_parse_value_spec(get(arms, "beta_shapes", "") or ""),
-            lower_bound=(
-                float(get(knowledge, "lower_bound")) if get(knowledge, "lower_bound") else None
-            ),
-            proxy=(float(get(knowledge, "proxy")) if get(knowledge, "proxy") else None),
-            knows_lower_bound=(get(knowledge, "lower_bound") is not None),
-            phase3_ucb=str(get(policy, "phase3_ucb", "false")).lower() == "true",
-            batch_growth=float(get(policy, "batch_growth", "2.0")),
-            num_arms=(int(get(contextual, "num_arms")) if get(contextual, "num_arms") else None),
-            dim=(int(get(contextual, "dim")) if get(contextual, "dim") else None),
-            lambda_min=float(get(contextual, "lambda_min", "1.0")),
-            beta_low=float(get(contextual, "beta_low", "-2")),
-            beta_high=float(get(contextual, "beta_high", "2")),
-            noise_variances=_parse_value_spec(
-                get(contextual, "noise_variances", "uniform 1 4") or ""
-            ),
-        )
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigurationError(f"bad value in {path}: {exc}") from exc
-    return ExperimentConfig(**kwargs)
+    fields = {}
+    for section in parser.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigurationError(f"unknown section [{section}] in {path}")
+        for key in parser[section]:
+            if key not in _CONFIG_KEYS[section]:
+                raise ConfigurationError(f"unknown key {key!r} in [{section}] of {path}")
+            try:
+                fields[key] = _CONFIG_KEYS[section][key](parser.get(section, key))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigurationError(f"bad value for {key} in {path}: {exc}") from exc
+    return ExperimentConfig(**fields, knows_lower_bound="lower_bound" in fields)
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:

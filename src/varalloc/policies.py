@@ -91,14 +91,20 @@ class PolicyConfig:
                 raise ConfigurationError("contextual runs need betas and a context spec")
             if len(self.betas) != len(self.noise_arms):
                 raise ConfigurationError("one beta vector per noise arm required")
-        if self.horizon < 2 * self.num_arms:
+            if self.p != 1.0:
+                raise ConfigurationError("the contextual policy is defined for p = 1")
+        # every arm's first pulls: 2 for a sample variance, d for a ridge state
+        first = 2 if self.noise_arms is None else max(2, self.context_spec.dimension)
+        if self.horizon < first * self.num_arms:
             raise ConfigurationError(
-                f"horizon {self.horizon} too small for {self.num_arms} arms (need >= 2K)"
+                f"horizon {self.horizon} too small for {self.num_arms} arms (need >= {first}K)"
             )
         if self.lower_bound is not None and not 0.0 < self.lower_bound < math.inf:
             raise ConfigurationError(
                 f"lower_bound must be positive and finite, got {self.lower_bound}"
             )
+        if self.lower_bound is not None and self.regime.sigma_sq_proxy is None:
+            raise ConfigurationError("a known lower bound also needs the variance proxy")
         if not 1.0 < self.batch_growth < math.inf:
             raise ConfigurationError(
                 f"batch_growth must be finite and exceed 1, got {self.batch_growth}"
@@ -252,10 +258,6 @@ def _fill_by_priority(run, counts, priority) -> bool:
         extra = counts[k] - run.pulls[k]
         if extra > 0:
             run.draw(k, extra)
-    i = 0
-    while run.budget > 0:  # spent only if rounding freed more than targets used
-        run.draw(order[i % len(order)], 1)
-        i += 1
     return clamped
 
 
@@ -283,10 +285,7 @@ def _phase1(cfg, run, ci_engine, q, adaptive: bool) -> tuple[list[int], bool]:
     before every arm passed."""
     k_arms, horizon = cfg.num_arms, cfg.horizon
     if cfg.lower_bound is not None:
-        proxy = cfg.regime.sigma_sq_proxy
-        if proxy is None:
-            raise ConfigurationError("a known lower bound also needs the variance proxy")
-        start = tau_nonadaptive(cfg.lower_bound, proxy, k_arms, horizon, q)
+        start = tau_nonadaptive(cfg.lower_bound, cfg.regime.sigma_sq_proxy, k_arms, horizon, q)
     else:
         start = phase1_length(cfg.regime.regime, cfg.regime.sigma_sq_proxy, horizon, k_arms)
     seed = min(run.seed_pulls, horizon // k_arms)
@@ -420,8 +419,6 @@ def run_contextual(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace
     """Adaptive policy over linear rewards with residual variance estimates."""
     if cfg.noise_arms is None:
         raise ConfigurationError("the contextual policy needs a contextual config")
-    if cfg.p != 1.0:
-        raise ConfigurationError("the contextual policy is defined for p = 1")
     if env is None:
         env = ContextualEnv(
             np.asarray(cfg.betas, dtype=float),
@@ -430,8 +427,6 @@ def run_contextual(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace
             cfg.seed,
         )
     d, lambda_min = env.dimension, cfg.context_spec.lambda_min
-    if cfg.horizon < cfg.num_arms * max(d, 2):
-        raise ConfigurationError("horizon too small to seed every arm's ridge state")
     stats = [RidgeState(d, lambda_min) for _ in range(cfg.num_arms)]
     # a ridge state is solvable from d rows
     run = _Run(env, stats, cfg.horizon, seed_pulls=d, objective_scale=2.0 * d / lambda_min)

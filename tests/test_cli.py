@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
 import csv
+from pathlib import Path
 
 import pytest
 
 from varalloc.cli import main
+from varalloc.harness import load_config
 
 CONFIG_TEXT = """
 [experiment]
@@ -105,31 +107,78 @@ def _ini(
 
 
 CONTEXTUAL = "[contextual]\nnum_arms = 2\ndim = 2\n"
-BAD_VALUE_INIS = [
-    ("proxy", _ini(regime="gsg", knowledge="proxy = nan")),
-    ("mean", _ini(means="nan 0")),
-    ("lower_bound", _ini(policy="nonadaptive", knowledge="lower_bound = nan\nproxy = 2")),
-    (
+# case -> (the key or field the error names, file text)
+BAD_VALUE_INIS = {
+    "proxy": ("proxy", _ini(regime="gsg", knowledge="proxy = nan")),
+    "mean": ("mean", _ini(means="nan 0")),
+    "lower_bound": (
+        "lower_bound", _ini(policy="nonadaptive", knowledge="lower_bound = nan\nproxy = 2")
+    ),
+    "lambda_min": (
         "lambda_min",
         _ini(policy="contextual", extra="[contextual]\nnum_arms = 2\ndim = 2\nlambda_min = nan"),
     ),
-    ("batch_growth", _ini(extra="[policy]\nbatch_growth = nan")),
-    ("families", _ini(families="cauchy")),
-    ("beta_shapes", _ini(families="symmetric_beta\nbeta_shapes = 2")),
-    ("means", _ini(means="uniform nan 1")),
-    ("noise_variances", _ini(policy="contextual", extra=CONTEXTUAL + "noise_variances = uniform 3 1")),
-    ("beta_low", _ini(policy="contextual", extra=CONTEXTUAL + "beta_low = nan")),
-    ("beta_high", _ini(policy="contextual", extra=CONTEXTUAL + "beta_low = 3\nbeta_high = 1")),
-    ("variances", _ini(variances="uniform 1 2", means="uniform -1 1")),
-]
+    "batch_growth": ("batch_growth", _ini(extra="[policy]\nbatch_growth = nan")),
+    "families": ("families", _ini(families="cauchy")),
+    "beta_shapes": ("beta_shapes", _ini(families="symmetric_beta\nbeta_shapes = 2")),
+    "means": ("means", _ini(means="uniform nan 1")),
+    "noise_variances": (
+        "noise_variances",
+        _ini(policy="contextual", extra=CONTEXTUAL + "noise_variances = uniform 3 1"),
+    ),
+    "beta_low": ("beta_low", _ini(policy="contextual", extra=CONTEXTUAL + "beta_low = nan")),
+    "beta_high": (
+        "beta_high", _ini(policy="contextual", extra=CONTEXTUAL + "beta_low = 3\nbeta_high = 1")
+    ),
+    "variances": ("variances", _ini(variances="uniform 1 2", means="uniform -1 1")),
+    "unknown-section": ("knowlege", _ini(extra="[knowlege]\nlower_bound = 1")),
+    "unknown-key": ("lower_bund", _ini(knowledge="lower_bund = 1")),
+    "phase3_ucb": ("phase3_ucb", _ini(extra="[policy]\nphase3_ucb = yes")),
+    "beta-variances": (
+        "variances", _ini(families="symmetric_beta\nbeta_shapes = 1 2", variances="5 5")
+    ),
+    "beta-no-shapes": ("beta_shapes", _ini(families="symmetric_beta", variances="0.2 0.2")),
+    "families-count": ("families", _ini(families="gaussian rademacher gaussian")),
+    "means-count": ("means", _ini(means="0 0 0")),
+    "nonadaptive-no-floor": ("lower_bound", _ini(policy="nonadaptive")),
+    "floor-without-proxy": ("proxy", _ini(knowledge="lower_bound = 1")),
+    "num_arms": (
+        "num_arms", _ini(policy="contextual", extra="[contextual]\nnum_arms = 0\ndim = 2")
+    ),
+    "dim": ("dim", _ini(policy="contextual", extra="[contextual]\nnum_arms = 2\ndim = -1")),
+}
 
 
-@pytest.mark.parametrize("field, text", BAD_VALUE_INIS, ids=[f for f, _ in BAD_VALUE_INIS])
+@pytest.mark.parametrize("field, text", BAD_VALUE_INIS.values(), ids=BAD_VALUE_INIS.keys())
 def test_bad_config_value_exit_code(field, text, tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert main(["simulate", str(path), "--workers", "1"]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, text", BAD_VALUE_INIS.values(), ids=BAD_VALUE_INIS.keys())
+def test_bounds_rejects_bad_config_value(field, text, tmp_path, capsys):
+    # every check is made when the file is loaded, so `bounds` rejects what `simulate` does
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["bounds", str(path), "--bound", "t7_ssg_adaptive_inf"]) == 2
+    assert field in capsys.readouterr().err
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+# the shipped files whose bound curve is evaluated over fixed variances
+BOUNDED_CONFIGS = {"gaussian_k4_gsg", "gaussian_k4_adaptive_ssg", "rademacher_gaussian_ssg"}
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_shipped_config_runs(config, tmp_path):
+    smallest = load_config(str(config)).horizons[0]
+    argv = ["simulate", str(config), "--trials", "1", "--workers", "1",
+            "--horizons", str(smallest), "--output", str(tmp_path / "rows.csv")]
+    assert main(argv) == 0
+    if config.stem in BOUNDED_CONFIGS:
+        assert main(["bounds", str(config), "--output", str(tmp_path / "bounds.csv")]) == 0
 
 
 UNPARSABLE_INIS = {

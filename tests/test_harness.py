@@ -1,6 +1,7 @@
 """Bound curves, oracle, slopes, CSV schema, and config handling."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,8 @@ class TestBoundCurves:
             bound_value("t5_contextual", VarianceProfile((1.0,), proxy=1.0), 1, 100, 1.0)
         with pytest.raises(ConfigurationError):
             bound_value("nope", VarianceProfile((1.0,)), 1, 100, 1.0)
+        with pytest.raises(ConfigurationError):
+            bound_value("t1_inf", VarianceProfile((1.0, 2.0), 1.0, 2.0), 2, 100, 1.0)
 
 
 class TestOracle:
@@ -249,3 +252,22 @@ batch_growth = 2.5
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):
             load_config("/nonexistent/x.ini")
+
+    def test_keys_are_config_fields(self):
+        keys = {key for section in harness._CONFIG_KEYS.values() for key in section}
+        assert keys <= {field.name for field in dataclasses.fields(ExperimentConfig)}
+
+    def test_drawn_values_checked_at_both_ends(self):
+        # a trial draws each noise variance from its range; construction checks
+        # both ends, so no trial can draw a variance a check would reject
+        base = dict(
+            policy="contextual", horizons=(400,), p=1.0, regime="ssg", num_arms=2, dim=2,
+            bound="t8_contextual_ssg", lower_bound=1.0,
+        )
+        ExperimentConfig(**base, proxy=4.0, noise_variances="uniform 1 4")
+        with pytest.raises(ConfigurationError, match="proxy"):
+            ExperimentConfig(**base, proxy=2.0, noise_variances="uniform 1 4")
+        with pytest.raises(ConfigurationError, match="lower_bound"):
+            ExperimentConfig(**base, proxy=4.0, noise_variances="uniform 0.5 4")
+        with pytest.raises(ConfigurationError, match="variance"):
+            ExperimentConfig(**{**base, "bound": None}, noise_variances="uniform 0 4")

@@ -186,6 +186,15 @@ class TestContextual:
         with pytest.raises(ConfigurationError):
             run_contextual(PolicyConfig(**{**cfg.__dict__, "p": 2.0}))
 
+    def test_run_preconditions_checked_at_construction(self):
+        cfg = _contextual_cfg(400)  # K = 3 arms, d = 2
+        with pytest.raises(ConfigurationError, match="p = 1"):
+            replace(cfg, p=2.0)
+        with pytest.raises(ConfigurationError, match="too small"):
+            replace(cfg, horizon=5)
+        with pytest.raises(ConfigurationError, match="proxy"):
+            replace(cfg, regime=NoiseRegime(Regime.SSG))
+
     def test_noise_free_recovers_coefficients(self):
         cfg = _contextual_cfg(600, seed=4)
         env = ContextualEnv(
@@ -237,18 +246,21 @@ class TestContextual:
     def test_floored_ridge_penalty_reaches_trace(self):
         # the second context coordinate is always 0, so every Gram matrix is
         # singular and the penalty 1e-12 / n cannot be solved at; the run
-        # falls back to the 1e-8 floor and the trace says so
-        cfg = replace(_contextual_cfg(300, seed=2), context_spec=ContextSpec(2, 1e-12))
-        contexts = np.random.default_rng(5).uniform(-math.sqrt(3), math.sqrt(3), (300, 2))
-        contexts[:, 1] = 0.0
-        env = ContextualEnv(
-            np.asarray(cfg.betas), cfg.context_spec, list(cfg.noise_arms), cfg.seed,
-            contexts=contexts,
-        )
-        trace = run_contextual(cfg, env)
-        assert trace.gamma_floored
-        assert sum(trace.counts) == 300
-        assert all(est[1] == 0.0 for est in trace.estimates)
+        # falls back to the penalty floor and the trace says so.  At T = 30000
+        # the Gram matrices pass 1e4, where an absolute 1e-8 floor would itself
+        # fall below the solver's relative singularity threshold
+        for horizon in (300, 30000):
+            cfg = replace(_contextual_cfg(horizon, seed=2), context_spec=ContextSpec(2, 1e-12))
+            contexts = np.random.default_rng(5).uniform(-math.sqrt(3), math.sqrt(3), (horizon, 2))
+            contexts[:, 1] = 0.0
+            env = ContextualEnv(
+                np.asarray(cfg.betas), cfg.context_spec, list(cfg.noise_arms), cfg.seed,
+                contexts=contexts,
+            )
+            trace = run_contextual(cfg, env)
+            assert trace.gamma_floored
+            assert sum(trace.counts) == horizon
+            assert all(est[1] == 0.0 for est in trace.estimates)
 
 
 # Fixed-seed traces pinned so that a refactor of the policy skeleton shows any
