@@ -164,7 +164,8 @@ def optimal_objective(profile: VarianceProfile, p: float, horizon: int) -> float
 
 
 def plugin_weights(variance_estimates, q: float) -> np.ndarray:
-    """Normalized q/2 powers of variance estimates (the plug-in shares)."""
+    """Normalized q/2 powers of variance estimates: the plug-in shares, or the
+    optimistic ones when the estimates are UCBs."""
     est = np.asarray(variance_estimates, dtype=float)
     if np.any(est < 0):
         raise ContractViolation("variance estimates must be nonnegative")
@@ -184,15 +185,6 @@ def adaptive_weight(lcb_k: float, ucb_others, q: float) -> float:
         raise ContractViolation("ucb values must be positive")
     own = lcb_k ** (q / 2.0)
     return float(own / (own + (others ** (q / 2.0)).sum()))
-
-
-def phase3_ucb_weights(ucb_all, q: float) -> np.ndarray:
-    """Normalized q/2 powers of the UCB values (optimistic final shares)."""
-    ucbs = np.asarray(ucb_all, dtype=float)
-    if np.any(ucbs <= 0) or not np.all(np.isfinite(ucbs)):
-        raise ContractViolation("ucb values must be positive and finite")
-    powers = ucbs ** (q / 2.0)
-    return powers / powers.sum()
 
 
 def tau_nonadaptive(

@@ -17,12 +17,12 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 from .allocation import VarianceProfile, objective_rp, optimal_allocation
 from .errors import VarallocError
 from .harness import (
     _fmt,
-    apply_overrides,
     config_bound,
     load_config,
     oracle_best_allocation,
@@ -49,26 +49,22 @@ def _variances(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _add_common_overrides(sub):
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--horizons", type=int, nargs="+", default=None)
-    sub.add_argument("--output", default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--bound", default=None)
+# simulate's options, each overriding the ExperimentConfig field of its name
+_OVERRIDES = {
+    "trials": dict(type=int), "seed": dict(type=int), "horizons": dict(type=int, nargs="+"),
+    "output": {}, "workers": dict(type=int), "bound": {},
+}
+
+
+def _load(args):
+    """The config file with the subcommand's override options applied; the
+    result is validated again."""
+    given = {name: getattr(args, name, None) for name in _OVERRIDES}
+    return replace(load_config(args.config), **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    cfg = apply_overrides(
-        cfg,
-        trials=args.trials,
-        seed=args.seed,
-        horizons=tuple(args.horizons) if args.horizons else None,
-        output=args.output,
-        workers=args.workers,
-        bound=args.bound,
-    )
+    cfg = _load(args)
     rows = run_experiment(cfg)
     if cfg.output:
         print(f"wrote {len(rows)} rows to {cfg.output}")
@@ -81,8 +77,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = load_config(args.config)
-    cfg = apply_overrides(cfg, output=args.output, bound=args.bound)
+    cfg = _load(args)
     if not cfg.bound:
         raise VarallocError("config has no bound curve; set [experiment] bound =")
     variances = cfg.noise_variances if cfg.policy == "contextual" else cfg.variances
@@ -150,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run an experiment config")
     sim.add_argument("config")
-    _add_common_overrides(sim)
+    for name, kwargs in _OVERRIDES.items():
+        sim.add_argument(f"--{name}", **kwargs)
     sim.set_defaults(func=_cmd_simulate)
 
     bounds = sub.add_parser("bounds", help="emit bound-curve values")

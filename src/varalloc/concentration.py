@@ -112,7 +112,7 @@ def ci_ssg(sigma_sq_hat: float, s: RadiusPair) -> ConfidenceInterval:
     )
 
 
-def delta_schedule(algorithm: str, p: float, horizon: int) -> float:
+def delta_schedule(adaptive: bool, p: float, horizon: int) -> float:
     """Per-tail failure probability tied to the horizon.
 
     Non-adaptive: T^-1 for p = inf, T^-3/2 for finite p.
@@ -120,11 +120,5 @@ def delta_schedule(algorithm: str, p: float, horizon: int) -> float:
     """
     if horizon < 2:
         raise ConfigurationError(f"horizon must be >= 2, got {horizon}")
-    alg = algorithm.lower()
-    if alg == "nonadaptive":
-        exponent = 1.0 if math.isinf(p) else 1.5
-    elif alg == "adaptive":
-        exponent = 2.0 if math.isinf(p) else 2.5
-    else:
-        raise ConfigurationError(f"unknown algorithm kind {algorithm!r}")
+    exponent = (1.0 if math.isinf(p) else 1.5) + (1.0 if adaptive else 0.0)
     return float(horizon) ** (-exponent)

@@ -37,10 +37,6 @@ class RunningMoments:
         mean = float(xs.mean())
         return cls(xs.size, mean, float(((xs - mean) ** 2).sum()))
 
-    def update(self, x: float) -> "RunningMoments":
-        """Fold in one observation."""
-        return self.update_many(RunningMoments(1, float(x)))
-
     def update_many(self, other: "RunningMoments") -> "RunningMoments":
         """Fold in another stream's summary by the exact (count, mean, m2) merge."""
         nb = other.n
@@ -60,15 +56,6 @@ class RunningMoments:
 
     def point(self) -> float:
         return self.mean
-
-
-def gamma_schedule(lambda_min: float, n: int) -> float:
-    """Ridge penalty lambda_min / n used by the contextual policy."""
-    if n < 1:
-        raise ContractViolation(f"gamma schedule needs n >= 1, got {n}")
-    if lambda_min <= 0:
-        raise ContractViolation("lambda_min must be positive")
-    return lambda_min / n
 
 
 def _solve_spd(v: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,6 +84,8 @@ class RidgeState:
     _variance_at: tuple = (-1, 0.0)  # (n, variance()) of the last computation
 
     def __post_init__(self):
+        if not self.lambda_min > 0:
+            raise ContractViolation(f"lambda_min must be positive, got {self.lambda_min}")
         if self.gram is None:
             self.gram = np.zeros((self.dim, self.dim))
         if self.xty is None:
@@ -112,9 +101,6 @@ class RidgeState:
             contexts.shape[1], lambda_min, len(contexts), contexts.T @ contexts,
             contexts.T @ rewards, _ctx_chunks=[contexts], _reward_chunks=[rewards],
         )
-
-    def update(self, c: np.ndarray, x: float) -> "RidgeState":
-        return self.update_many(RidgeState.of([c], [x], self.lambda_min))
 
     def update_many(self, other: "RidgeState") -> "RidgeState":
         """Fold in another summary; this state's lambda_min stays."""
@@ -136,10 +122,10 @@ class RidgeState:
         return _solve_spd(gamma * np.eye(self.dim) + self.gram, self.xty)
 
     def point(self) -> tuple[float, ...]:
-        """Ridge coefficients at penalty lambda_min / n; a singular system is
+        """Ridge coefficients at penalty lambda_min / max(n, 1); a singular system is
         solved again at penalty 1e-8 * max(1, largest Gram eigenvalue), and
         `floored` is set."""
-        gamma = gamma_schedule(self.lambda_min, max(self.n, 1))
+        gamma = self.lambda_min / max(self.n, 1)
         try:
             beta = self.estimate(gamma)
         except SingularSystemError:

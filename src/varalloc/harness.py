@@ -211,20 +211,15 @@ def oracle_best_allocation(variances, p: float, horizon: int) -> tuple[int, ...]
     return best
 
 
-def slope_estimate(table) -> float:
-    """OLS slope of log(mean regret) against log(horizon).
+def slope_estimate(rows) -> float:
+    """OLS slope of log(mean regret) against log(horizon) over Row records.
 
-    `table` is either an iterable of Row records or of (T, regret) pairs.
     Nonpositive mean regrets are excluded; fewer than four surviving points
     is an estimation error.
     """
     by_t: dict[int, list[float]] = {}
-    for item in table:
-        if isinstance(item, Row):
-            t, r = item.horizon, item.regret
-        else:
-            t, r = item
-        by_t.setdefault(int(t), []).append(float(r))
+    for row in rows:
+        by_t.setdefault(row.horizon, []).append(row.regret)
     points = [
         (t, float(np.mean(rs))) for t, rs in sorted(by_t.items()) if np.mean(rs) > 0
     ]
@@ -304,8 +299,8 @@ class ExperimentConfig:
             raise ConfigurationError("at least one horizon required")
         object.__setattr__(self, "horizons", horizons)
         if self.policy == "contextual":
-            if self.num_arms is None or self.dim is None or self.num_arms < 1:
-                raise ConfigurationError("contextual experiments need num_arms >= 1 and dim")
+            if self.num_arms is None or self.dim is None or min(self.num_arms, self.dim) < 1:
+                raise ConfigurationError("contextual experiments need num_arms >= 1 and dim >= 1")
             _check_values(self.noise_variances, self.num_arms, "noise_variances")
         elif not self.variances or isinstance(self.variances, str):
             raise ConfigurationError(
@@ -322,14 +317,14 @@ class ExperimentConfig:
             _check_values(self.means, count, "means")
             _check_values(self.beta_shapes, count, "beta_shapes", may_draw=False)
         templates = [_policy_config(self, horizons[0], _RangeEnd(high)) for high in (False, True)]
-        for arm, listed in zip(templates[0].arms or (), self.variances or ()):
+        for arm, listed in zip(templates[0].arms, self.variances or ()):
             try:  # the listed variance must be the one the arm's family has
                 replace(arm, variance=listed)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"variances: {exc}") from None
         if self.bound:
             for template in templates:
-                config_bound(self, _true_variances(template), horizons[0])
+                config_bound(self, [arm.variance for arm in template.arms], horizons[0])
 
     @property
     def arm_count(self) -> int:
@@ -358,7 +353,7 @@ class Row:
 
 
 def _check_values(spec, count: int, what: str, may_draw: bool = True):
-    """None, one value per arm, or (if may_draw) 'uniform a b' with finite a <= b."""
+    """None, one finite value per arm, or (if may_draw) 'uniform a b' with finite a <= b."""
     if isinstance(spec, str) and may_draw:
         parts = spec.split()
         try:
@@ -370,8 +365,10 @@ def _check_values(spec, count: int, what: str, may_draw: bool = True):
             raise ConfigurationError(
                 f"{what} must be 'uniform a b' with finite a <= b, got {spec!r}"
             )
-    elif spec is not None and (isinstance(spec, str) or len(spec) != count):
-        raise ConfigurationError(f"{what} needs one value per arm ({count}): {spec!r}")
+    elif spec is not None and (
+        isinstance(spec, str) or len(spec) != count or not all(map(math.isfinite, spec))
+    ):
+        raise ConfigurationError(f"{what} needs one finite value per arm ({count}): {spec!r}")
 
 
 class _RangeEnd:
@@ -401,6 +398,14 @@ def config_bound(cfg: ExperimentConfig, variances, horizon: int) -> float:
     return bound_value(cfg.bound, profile, cfg.arm_count, horizon, cfg.p, cfg.dim, lambda_min_c)
 
 
+def _keyed(key: str, build, *args):
+    """build(*args), with a configuration error reworded to name the file key."""
+    try:
+        return build(*args)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
 def _canonical_arms(cfg: ExperimentConfig, means) -> tuple[ArmSpec, ...]:
     """Each arm from its family: rademacher and beta variances follow from the family."""
     count = len(cfg.variances)
@@ -408,8 +413,9 @@ def _canonical_arms(cfg: ExperimentConfig, means) -> tuple[ArmSpec, ...]:
     shapes = cfg.beta_shapes or (None,) * count
     return tuple(
         rademacher_arm(mean) if family == Family.RADEMACHER
-        else symmetric_beta_arm(mean, shape) if family == Family.SYMMETRIC_BETA
-        else gaussian_arm(mean, variance)
+        else _keyed("beta_shapes", symmetric_beta_arm, mean, shape)
+        if family == Family.SYMMETRIC_BETA
+        else _keyed("variances", gaussian_arm, mean, variance)
         for family, mean, variance, shape in zip(families, means, cfg.variances, shapes)
     )
 
@@ -433,13 +439,9 @@ def _policy_config(cfg: ExperimentConfig, horizon: int, rng) -> PolicyConfig:
     return PolicyConfig(
         betas=tuple(tuple(b) for b in betas),
         context_spec=spec,
-        noise_arms=tuple(gaussian_arm(0.0, v) for v in noise_vars),
+        arms=tuple(_keyed("noise_variances", gaussian_arm, 0.0, v) for v in noise_vars),
         **common,
     )
-
-
-def _true_variances(policy_cfg: PolicyConfig) -> tuple[float, ...]:
-    return tuple(arm.variance for arm in policy_cfg.arms or policy_cfg.noise_arms)
 
 
 def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
@@ -450,9 +452,7 @@ def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
     start = time.perf_counter()
     policy_cfg = _policy_config(cfg, horizon, rng)
     if cfg.policy == "contextual":
-        env = ContextualEnv(
-            policy_cfg.betas, policy_cfg.context_spec, policy_cfg.noise_arms, env_seq
-        )
+        env = ContextualEnv(policy_cfg.betas, policy_cfg.context_spec, policy_cfg.arms, env_seq)
         trace = run_contextual(policy_cfg, env)
     else:
         env = CanonicalEnv(policy_cfg.arms, env_seq)
@@ -462,7 +462,7 @@ def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
 
     bound_name, bound = "", None
     if cfg.bound:
-        bound_name, bound = cfg.bound, config_bound(cfg, _true_variances(policy_cfg), horizon)
+        bound_name, bound = cfg.bound, config_bound(cfg, env.true_variances, horizon)
     return Row(
         experiment=cfg.name,
         policy=cfg.policy,
@@ -528,7 +528,15 @@ def read_csv(path: str) -> list[Row]:
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ConfigurationError(f"unexpected CSV columns in {path}")
         for rec in reader:
-            rows.append(Row(**{field: parse(rec[col]) for col, field, parse in _CSV_SCHEMA}))
+            values = {}
+            for col, field, parse in _CSV_SCHEMA:
+                try:
+                    values[field] = parse(rec[col])
+                except (KeyError, TypeError, ValueError):
+                    raise ConfigurationError(
+                        f"{path}, line {reader.line_num}: bad {col} value {rec[col]!r}"
+                    ) from None
+            rows.append(Row(**values))
     return rows
 
 
@@ -585,28 +593,25 @@ def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = parser.read(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}  # interpolated
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ConfigurationError(f"unknown section [{parser.default_section}] in {path}")
     fields = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _CONFIG_KEYS:
             raise ConfigurationError(f"unknown section [{section}] in {path}")
-        for key in parser[section]:
+        for key, text in items.items():
             if key not in _CONFIG_KEYS[section]:
                 raise ConfigurationError(f"unknown key {key!r} in [{section}] of {path}")
             try:
-                fields[key] = _CONFIG_KEYS[section][key](parser.get(section, key))
-            except (ValueError, configparser.Error) as exc:
+                fields[key] = _CONFIG_KEYS[section][key](text)
+            except ValueError as exc:
                 raise ConfigurationError(f"bad value for {key} in {path}: {exc}") from exc
     return ExperimentConfig(**fields, knows_lower_bound="lower_bound" in fields)
-
-
-def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Replace the fields whose override is not None; the config is re-validated."""
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def summarize(rows: list[Row]) -> list[dict]:

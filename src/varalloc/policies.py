@@ -33,7 +33,6 @@ from .allocation import (
     adaptive_weight,
     objective_rp,
     optimal_objective,
-    phase3_ucb_weights,
     plugin_weights,
     q_of_p,
     round_allocation,
@@ -66,17 +65,17 @@ _SWEEP_CAP = 512
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Inputs of one policy run.  Canonical runs set `arms`; contextual runs
-    set (betas, context_spec, noise_arms).  `lower_bound` is a known floor on
-    every variance, or None when the floor is unknown."""
+    """Inputs of one policy run.  Every run sets `arms`; a contextual run also
+    sets `betas` and `context_spec`, and its arms are the mean-zero noise.
+    `lower_bound` is a known floor on every variance, or None when the floor
+    is unknown."""
 
     horizon: int
     p: float
     regime: NoiseRegime
-    arms: tuple[ArmSpec, ...] | None = None
+    arms: tuple[ArmSpec, ...]
     betas: tuple[tuple[float, ...], ...] | None = None
     context_spec: ContextSpec | None = None
-    noise_arms: tuple[ArmSpec, ...] | None = None
     lower_bound: float | None = None
     phase3_ucb_mode: bool = False
     batch_growth: float = 2.0
@@ -84,17 +83,15 @@ class PolicyConfig:
 
     def __post_init__(self):
         validate_norm_order(self.p)
-        if (self.arms is None) == (self.noise_arms is None):
-            raise ConfigurationError("set exactly one of arms / contextual bundle")
-        if self.noise_arms is not None:
-            if self.betas is None or self.context_spec is None:
-                raise ConfigurationError("contextual runs need betas and a context spec")
-            if len(self.betas) != len(self.noise_arms):
-                raise ConfigurationError("one beta vector per noise arm required")
+        if (self.betas is None) != (self.context_spec is None):
+            raise ConfigurationError("contextual runs need betas and a context spec")
+        if self.context_spec is not None:
+            if len(self.betas) != len(self.arms):
+                raise ConfigurationError("one beta vector per arm required")
             if self.p != 1.0:
                 raise ConfigurationError("the contextual policy is defined for p = 1")
         # every arm's first pulls: 2 for a sample variance, d for a ridge state
-        first = 2 if self.noise_arms is None else max(2, self.context_spec.dimension)
+        first = 2 if self.context_spec is None else max(2, self.context_spec.dimension)
         if self.horizon < first * self.num_arms:
             raise ConfigurationError(
                 f"horizon {self.horizon} too small for {self.num_arms} arms (need >= {first}K)"
@@ -112,7 +109,7 @@ class PolicyConfig:
 
     @property
     def num_arms(self) -> int:
-        return len(self.arms) if self.arms is not None else len(self.noise_arms)
+        return len(self.arms)
 
 
 @dataclass
@@ -271,7 +268,7 @@ def _phase3_weights(cfg, run, ci_engine, q, use_ucb: bool):
         # intervals can still be one-sided if the run starved in its first
         # phase; fall back to the plug-in shares then
         if all(math.isfinite(u) and u > 0 for u in ucbs):
-            return phase3_ucb_weights(ucbs, q), sigma_hats
+            return plugin_weights(ucbs, q), sigma_hats
     try:
         weights = plugin_weights(sigma_hats, q)
     except DegenerateInputError:
@@ -356,7 +353,7 @@ def _run_policy(cfg: PolicyConfig, run, adaptive: bool, ci_override=None) -> Pol
     first phase at its fixed length, has no second phase, and always uses
     plug-in final shares."""
     q = q_of_p(cfg.p)
-    delta = delta_schedule("adaptive" if adaptive else "nonadaptive", cfg.p, cfg.horizon)
+    delta = delta_schedule(adaptive, cfg.p, cfg.horizon)
     truth = run.env.true_variances
     ci_engine = _CIEngine(cfg.regime, delta, truth, ci_override)
     phase1_ends, starved = _phase1(cfg, run, ci_engine, q, adaptive)
@@ -394,8 +391,10 @@ def _run_policy(cfg: PolicyConfig, run, adaptive: bool, ci_override=None) -> Pol
 
 
 def _canonical_run(cfg: PolicyConfig, env) -> _Run:
+    if cfg.context_spec is not None:
+        raise ConfigurationError("the non-adaptive and adaptive policies run on canonical arms")
     if env is None:
-        env = CanonicalEnv(list(cfg.arms), cfg.seed)
+        env = CanonicalEnv(cfg.arms, cfg.seed)
     return _Run(env, [RunningMoments() for _ in range(cfg.num_arms)], cfg.horizon)
 
 
@@ -403,31 +402,22 @@ def run_nonadaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
     """Fixed-length first phase from the known floor, one plug-in reallocation."""
     if cfg.lower_bound is None:
         raise ConfigurationError("the non-adaptive policy requires a variance lower bound")
-    if cfg.arms is None:
-        raise ConfigurationError("the non-adaptive policy runs on canonical arms")
     return _run_policy(cfg, _canonical_run(cfg, env), adaptive=False)
 
 
 def run_adaptive(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace:
     """Three-phase adaptive policy; needs no variance floor."""
-    if cfg.arms is None:
-        raise ConfigurationError("the adaptive policy runs on canonical arms")
     return _run_policy(cfg, _canonical_run(cfg, env), adaptive=True, ci_override=ci_override)
 
 
-def run_contextual(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace:
+def run_contextual(cfg: PolicyConfig, env=None) -> PolicyTrace:
     """Adaptive policy over linear rewards with residual variance estimates."""
-    if cfg.noise_arms is None:
+    if cfg.context_spec is None:
         raise ConfigurationError("the contextual policy needs a contextual config")
     if env is None:
-        env = ContextualEnv(
-            np.asarray(cfg.betas, dtype=float),
-            cfg.context_spec,
-            list(cfg.noise_arms),
-            cfg.seed,
-        )
+        env = ContextualEnv(cfg.betas, cfg.context_spec, cfg.arms, cfg.seed)
     d, lambda_min = env.dimension, cfg.context_spec.lambda_min
     stats = [RidgeState(d, lambda_min) for _ in range(cfg.num_arms)]
     # a ridge state is solvable from d rows
     run = _Run(env, stats, cfg.horizon, seed_pulls=d, objective_scale=2.0 * d / lambda_min)
-    return _run_policy(cfg, run, adaptive=True, ci_override=ci_override)
+    return _run_policy(cfg, run, adaptive=True)

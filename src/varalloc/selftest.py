@@ -81,14 +81,13 @@ def _random_contextual_cfg(rng) -> PolicyConfig:
     dim = int(rng.integers(2, 4))
     betas = tuple(tuple(float(b) for b in rng.uniform(-2, 2, dim)) for _ in range(k))
     noise_vars = rng.uniform(1.0, 3.0, k)
-    noise_arms = tuple(gaussian_arm(0.0, float(v)) for v in noise_vars)
     return PolicyConfig(
         horizon=int(rng.integers(60 * k, 800)),
         p=1.0,
         regime=NoiseRegime(Regime.SSG, float(noise_vars.max())),
         betas=betas,
         context_spec=ContextSpec(dimension=dim),
-        noise_arms=noise_arms,
+        arms=tuple(gaussian_arm(0.0, float(v)) for v in noise_vars),
         lower_bound=float(noise_vars.min()),
         seed=int(rng.integers(0, 2**31)),
     )
@@ -112,11 +111,7 @@ def _check_trace(cfg: PolicyConfig, policy: str, trace, failures: list[str], tag
     ):
         failures.append(f"{tag}: phase boundaries decreased")
     if policy != "nonadaptive" and trace.good_event_held and not trace.truncated:
-        variances = (
-            [a.variance for a in cfg.arms]
-            if cfg.arms is not None
-            else [a.variance for a in cfg.noise_arms]
-        )
+        variances = [a.variance for a in cfg.arms]
         plan = optimal_allocation(VarianceProfile(tuple(variances)), cfg.p, cfg.horizon)
         k_arms = len(variances)
         for k in range(k_arms):
@@ -157,9 +152,7 @@ def _check_context_commitment(cfg: PolicyConfig, failures: list[str], tag: str):
     cut = cfg.horizon // 2
 
     def env_with(ctx):
-        return ContextualEnv(
-            np.asarray(cfg.betas), cfg.context_spec, list(cfg.noise_arms), cfg.seed, contexts=ctx
-        )
+        return ContextualEnv(cfg.betas, cfg.context_spec, cfg.arms, cfg.seed, contexts=ctx)
 
     trace_a = run_contextual(cfg, env_with(contexts))
     permuted = contexts.copy()

@@ -13,7 +13,6 @@ from varalloc.allocation import (
     objective_rp,
     optimal_allocation,
     optimal_objective,
-    phase3_ucb_weights,
     plugin_weights,
     q_of_p,
     round_allocation,
@@ -151,11 +150,10 @@ class TestWeights:
         assert adaptive_weight(3.0, [3.0, 3.0], 1.3) == pytest.approx(1 / 3)
 
     def test_phase3_ucb_values(self):
-        np.testing.assert_allclose(phase3_ucb_weights((2.0, 8.0), 2.0), (0.2, 0.8))
-        np.testing.assert_allclose(phase3_ucb_weights((5.0, 5.0), 1.0), (0.5, 0.5))
-        np.testing.assert_allclose(
-            phase3_ucb_weights((2.0 + 0.7, 2.0 + 0.7), 2.0), (0.5, 0.5)
-        )
+        # the optimistic final shares are the plug-in rule applied to UCBs
+        np.testing.assert_allclose(plugin_weights((2.0, 8.0), 2.0), (0.2, 0.8))
+        np.testing.assert_allclose(plugin_weights((5.0, 5.0), 1.0), (0.5, 0.5))
+        np.testing.assert_allclose(plugin_weights((2.0 + 0.7, 2.0 + 0.7), 2.0), (0.5, 0.5))
 
     @given(
         st.lists(st.floats(min_value=0.2, max_value=5.0), min_size=2, max_size=5),

@@ -1,12 +1,13 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
 import csv
+import re
 from pathlib import Path
 
 import pytest
 
 from varalloc.cli import main
-from varalloc.harness import load_config
+from varalloc.harness import CSV_COLUMNS, load_config
 
 CONFIG_TEXT = """
 [experiment]
@@ -110,7 +111,7 @@ CONTEXTUAL = "[contextual]\nnum_arms = 2\ndim = 2\n"
 # case -> (the key or field the error names, file text)
 BAD_VALUE_INIS = {
     "proxy": ("proxy", _ini(regime="gsg", knowledge="proxy = nan")),
-    "mean": ("mean", _ini(means="nan 0")),
+    "mean": ("means", _ini(means="nan 0")),
     "lower_bound": (
         "lower_bound", _ini(policy="nonadaptive", knowledge="lower_bound = nan\nproxy = 2")
     ),
@@ -146,7 +147,18 @@ BAD_VALUE_INIS = {
         "num_arms", _ini(policy="contextual", extra="[contextual]\nnum_arms = 0\ndim = 2")
     ),
     "dim": ("dim", _ini(policy="contextual", extra="[contextual]\nnum_arms = 2\ndim = -1")),
+    "noise_variances-zero": (
+        "noise_variances",
+        _ini(policy="contextual", extra=CONTEXTUAL + "noise_variances = uniform 0 4"),
+    ),
+    "variances-zero": ("variances", _ini(variances="0 1")),
+    "default-section": ("DEFAULT", "[DEFAULT]\nfoo = 1\n" + _ini()),
 }
+
+
+def _names(err: str, key: str) -> bool:
+    """Whether an error message names `key` as a whole word."""
+    return re.search(rf"\b{re.escape(key)}\b", err) is not None
 
 
 @pytest.mark.parametrize("field, text", BAD_VALUE_INIS.values(), ids=BAD_VALUE_INIS.keys())
@@ -154,7 +166,7 @@ def test_bad_config_value_exit_code(field, text, tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert main(["simulate", str(path), "--workers", "1"]) == 2
-    assert field in capsys.readouterr().err
+    assert _names(capsys.readouterr().err, field)
 
 
 @pytest.mark.parametrize("field, text", BAD_VALUE_INIS.values(), ids=BAD_VALUE_INIS.keys())
@@ -163,7 +175,7 @@ def test_bounds_rejects_bad_config_value(field, text, tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert main(["bounds", str(path), "--bound", "t7_ssg_adaptive_inf"]) == 2
-    assert field in capsys.readouterr().err
+    assert _names(capsys.readouterr().err, field)
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
@@ -193,7 +205,44 @@ def test_unparsable_config_exit_code(text, tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert main(["simulate", str(path), "--workers", "1"]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and str(path) in err
+
+
+PINS = Path(__file__).resolve().parent / "simulate_pins.csv"
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_simulate_rows_pinned(config, tmp_path):
+    # every CSV column but runtime_ms, at 2 trials on the config's first horizon
+    out = tmp_path / "rows.csv"
+    first = load_config(str(config)).horizons[0]
+    argv = ["simulate", str(config), "--trials", "2", "--workers", "1",
+            "--horizons", str(first), "--output", str(out)]
+    assert main(argv) == 0
+    with open(out, newline="") as handle:
+        rows = [row[:-1] for row in csv.reader(handle)][1:]
+    with open(PINS, newline="") as handle:
+        pinned = [row[1:] for row in csv.reader(handle) if row[0] == config.stem]
+    assert CSV_COLUMNS[-1] == "runtime_ms"
+    assert rows == pinned
+
+
+VALID_ROW = "x,adaptive,ssg,inf,2,400,0,1,0.001,0.01,0.009,,,1,3"
+MALFORMED_ROWS = {
+    "regret": VALID_ROW.replace("0.001", "abc"),
+    "good_event": VALID_ROW.replace(",1,3", ",2,3"),
+    "runtime_ms": VALID_ROW.rsplit(",", 1)[0],
+}
+
+
+@pytest.mark.parametrize("column, bad", MALFORMED_ROWS.items(), ids=MALFORMED_ROWS.keys())
+def test_slopes_malformed_cell_exit_code(column, bad, tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + VALID_ROW + "\n" + bad + "\n")
+    assert main(["slopes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and _names(err, column)
 
 
 def test_missing_config_exit_code():

@@ -149,14 +149,14 @@ class TestIntervals:
 
 class TestSchedulesAndFactors:
     def test_delta_values(self):
-        assert delta_schedule("nonadaptive", math.inf, 100) == pytest.approx(0.01)
-        assert delta_schedule("adaptive", math.inf, 100) == pytest.approx(1e-4)
-        assert delta_schedule("adaptive", 1.0, 100) == pytest.approx(1e-5)
-        assert delta_schedule("nonadaptive", 1.0, 100) == pytest.approx(1e-3)
+        assert delta_schedule(False, math.inf, 100) == pytest.approx(0.01)
+        assert delta_schedule(True, math.inf, 100) == pytest.approx(1e-4)
+        assert delta_schedule(True, 1.0, 100) == pytest.approx(1e-5)
+        assert delta_schedule(False, 1.0, 100) == pytest.approx(1e-3)
 
-    def test_bad_algorithm(self):
+    def test_delta_needs_two_rounds(self):
         with pytest.raises(ConfigurationError):
-            delta_schedule("other", 1.0, 100)
+            delta_schedule(True, 1.0, 1)
 
 
 class TestCoverageNonGaussianFamilies:

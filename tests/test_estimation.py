@@ -10,7 +10,6 @@ from varalloc.estimation import (
     RidgeState,
     RunningMoments,
     conditional_mse,
-    gamma_schedule,
 )
 from varalloc.errors import (
     ContractViolation,
@@ -21,19 +20,19 @@ from varalloc.errors import (
 
 class TestRunningMoments:
     def test_single_update(self):
-        m = RunningMoments().update(5.0)
+        m = RunningMoments().update_many(RunningMoments(1, 5.0))
         assert (m.n, m.mean, m.m2) == (1, 5.0, 0.0)
 
     def test_two_symmetric_values(self):
         m = RunningMoments()
-        m.update(1.0).update(-1.0)
+        m.update_many(RunningMoments(1, 1.0)).update_many(RunningMoments(1, -1.0))
         assert (m.n, m.mean, m.m2) == (2, 0.0, 2.0)
         assert m.variance() == 2.0
 
     def test_batch_formula_value(self):
         m = RunningMoments()
         for x in [0.0, 1.0, 2.0, 3.0]:
-            m.update(x)
+            m.update_many(RunningMoments(1, x))
         assert m.m2 == pytest.approx(5.0)
         assert m.variance() == pytest.approx(5.0 / 3.0)
 
@@ -44,7 +43,7 @@ class TestRunningMoments:
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            RunningMoments().update(1.0).variance()
+            RunningMoments().update_many(RunningMoments(1, 1.0)).variance()
 
     @given(
         st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=60),
@@ -78,7 +77,7 @@ class TestRunningMoments:
         for chunk in np.split(xs, cuts):
             merged.update_many(RunningMoments.of(chunk))
         for x in xs[:3]:
-            merged.update(x)
+            merged.update_many(RunningMoments(1, float(x)))
         ref = np.concatenate([xs, xs[:3]])
         assert merged.n == ref.size
         assert merged.variance() == pytest.approx(np.var(ref, ddof=1), rel=1e-9)
@@ -95,8 +94,8 @@ class TestRunningMoments:
 class TestRidge:
     def test_accumulates_sums(self):
         s = RidgeState(1)
-        s.update([1.0], 1.0)
-        s.update([1.0], 3.0)
+        s.update_many(RidgeState.of([[1.0]], [1.0], 1.0))
+        s.update_many(RidgeState.of([[1.0]], [3.0], 1.0))
         assert s.gram[0, 0] == 2.0 and s.xty[0] == 4.0
 
     def test_empty_state_zero(self):
@@ -104,13 +103,12 @@ class TestRidge:
         np.testing.assert_array_equal(s.gram, np.zeros((3, 3)))
 
     def test_two_dim_single_update(self):
-        s = RidgeState(2).update([1.0, 1.0], 2.0)
+        s = RidgeState(2).update_many(RidgeState.of([[1.0, 1.0]], [2.0], 1.0))
         np.testing.assert_array_equal(s.gram, np.ones((2, 2)))
         np.testing.assert_array_equal(s.xty, [2.0, 2.0])
 
     def test_estimate_matches_least_squares(self):
-        s = RidgeState(1)
-        s.update([1.0], 1.0).update([1.0], 3.0)
+        s = RidgeState.of([[1.0], [1.0]], [1.0, 3.0], 1.0)
         assert s.estimate(0.0)[0] == pytest.approx(2.0)
         assert s.estimate(2.0)[0] == pytest.approx(1.0)
 
@@ -121,13 +119,13 @@ class TestRidge:
         np.testing.assert_allclose(s.estimate(0.5), np.zeros(2))
 
     def test_singular_at_gamma_zero(self):
-        s = RidgeState(2).update([1.0, 0.0], 1.0)
+        s = RidgeState.of([[1.0, 0.0]], [1.0], 1.0)
         with pytest.raises(SingularSystemError):
             s.estimate(0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
-            RidgeState(2).update([1.0], 1.0)
+            RidgeState(2).update_many(RidgeState.of([[1.0]], [1.0], 1.0))
 
     def test_chunked_merge_equals_one_shot(self):
         # integer data keeps every Gram and X'y sum exact, whatever the order
@@ -145,7 +143,7 @@ class TestRidge:
         assert chunked.residual_variance(beta) == whole.residual_variance(beta)
 
     def test_point_floors_a_singular_penalty(self):
-        s = RidgeState(2, 1e-12).update([1.0, 0.0], 1.0)
+        s = RidgeState.of([[1.0, 0.0]], [1.0], 1e-12)
         assert not s.floored
         assert s.point() == pytest.approx((1.0, 0.0), abs=1e-6)
         assert s.floored
@@ -155,7 +153,7 @@ class TestRidge:
         s = RidgeState(2, 2.0)
         s.update_many(RidgeState.of(rng.normal(size=(6, 2)), rng.normal(size=6), 2.0))
         assert s.variance() == s.residual_variance(s.point())
-        s.update([0.5, -1.0], 3.0)  # a new count recomputes
+        s.update_many(RidgeState.of([[0.5, -1.0]], [3.0], 2.0))  # a new count recomputes
         assert s.variance() == s.residual_variance(s.point())
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -172,12 +170,14 @@ class TestRidge:
         assert lo <= hi + 1e-9
 
 
-def test_gamma_schedule_values():
-    assert gamma_schedule(1.0, 2) == 0.5
-    assert gamma_schedule(4.0, 8) == 0.5
-    values = [gamma_schedule(1.0, n) for n in range(1, 200)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] < 0.006
+def test_point_penalty_is_lambda_min_over_n():
+    rng = np.random.default_rng(5)
+    for lambda_min, n in [(1.0, 2), (4.0, 8), (1.0, 199)]:
+        s = RidgeState.of(rng.normal(size=(n, 2)), rng.normal(size=n), lambda_min)
+        assert s.point() == tuple(s.estimate(lambda_min / n).tolist())
+    assert RidgeState(2, 3.0).point() == (0.0, 0.0)  # penalty lambda_min at n = 0
+    with pytest.raises(ContractViolation):
+        RidgeState(2, 0.0)
 
 
 class TestResidualVariance:
@@ -189,8 +189,7 @@ class TestResidualVariance:
         assert s.residual_variance(beta) == pytest.approx(0.0, abs=1e-20)
 
     def test_reduces_to_sample_variance(self):
-        s = RidgeState(1)
-        s.update([1.0], 1.0).update([1.0], -1.0)
+        s = RidgeState.of([[1.0], [1.0]], [1.0, -1.0], 1.0)
         assert s.residual_variance(np.zeros(1)) == pytest.approx(2.0)
 
     def test_monte_carlo_noise_variance(self):
@@ -199,12 +198,12 @@ class TestResidualVariance:
         contexts = rng.uniform(-math.sqrt(3), math.sqrt(3), (n, 2))
         rewards = contexts @ beta + rng.normal(0.0, math.sqrt(2.0), n)
         s = RidgeState(2).update_many(RidgeState.of(contexts, rewards, 1.0))
-        beta_hat = s.estimate(gamma_schedule(1.0, n))
+        beta_hat = s.estimate(1.0 / n)
         assert s.residual_variance(beta_hat) == pytest.approx(2.0, abs=0.15)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            RidgeState(1).update([1.0], 1.0).residual_variance(np.zeros(1))
+            RidgeState.of([[1.0]], [1.0], 1.0).residual_variance(np.zeros(1))
 
 
 class TestConditionalMse:

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import varalloc.harness as harness
+from varalloc import cli
 from varalloc.allocation import VarianceProfile
 from varalloc.harness import (
     BOUND_NAMES,
     CSV_COLUMNS,
     ExperimentConfig,
-    apply_overrides,
     bound_value,
     load_config,
     make_bound_curve,
@@ -80,25 +80,33 @@ class TestOracle:
             oracle_best_allocation((1.0,) * 5, 1.0, 20)
 
 
+def _rows(table):
+    """Rows carrying the (T, regret) pairs of `table`; the other fields are filler."""
+    filler = dict(experiment="x", policy="adaptive", regime="ssg", p=INF, num_arms=2, trial=0,
+                  seed=0, objective=1.0, optimal_objective=1.0, bound_name="",
+                  bound_value=None, good_event=None, runtime_ms=0)
+    return [harness.Row(horizon=int(t), regret=float(r), **filler) for t, r in table]
+
+
 class TestSlopeEstimate:
     def test_exact_power_law(self):
-        table = [(t, 3.0 * t**-2.0) for t in (1000, 2000, 5000, 10_000, 40_000)]
+        table = _rows((t, 3.0 * t**-2.0) for t in (1000, 2000, 5000, 10_000, 40_000))
         assert slope_estimate(table) == pytest.approx(-2.0, abs=1e-9)
 
     def test_rate_with_log_factor(self):
-        table = [
+        table = _rows(
             (t, 5.0 * t**-1.5 * math.sqrt(math.log(t)))
             for t in np.geomspace(1e3, 1e5, 8).astype(int)
-        ]
+        )
         assert -1.6 < slope_estimate(table) < -1.4
 
     def test_constant_regret_zero_slope(self):
-        table = [(t, 0.7) for t in (10, 100, 1000, 10_000)]
+        table = _rows((t, 0.7) for t in (10, 100, 1000, 10_000))
         assert slope_estimate(table) == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_points(self):
         with pytest.raises(ConfigurationError):
-            slope_estimate([(10, 1.0), (100, 0.5), (1000, -0.1), (10_000, -0.2)])
+            slope_estimate(_rows([(10, 1.0), (100, 0.5), (1000, -0.1), (10_000, -0.2)]))
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -118,7 +126,7 @@ def _tiny_config(tmp_path, **overrides):
         bound="t1_inf",
         output=str(tmp_path / "tiny.csv"),
     )
-    return apply_overrides(cfg, **overrides)
+    return dataclasses.replace(cfg, **overrides)
 
 
 class TestRunExperiment:
@@ -246,7 +254,7 @@ batch_growth = 2.5
             "[arms]\nvariances = 1 2\nmeans = 0 0\n"
             "[knowledge]\nlower_bound = 1\nproxy = 2\n"
         )
-        cfg = apply_overrides(load_config(str(path)), trials=5, seed=None)
+        cfg = cli._load(cli.build_parser().parse_args(["simulate", str(path), "--trials", "5"]))
         assert cfg.trials == 5 and cfg.seed == 0
 
     def test_missing_file(self):

@@ -173,7 +173,7 @@ def _contextual_cfg(horizon, k=3, d=2, seed=0, noise_vars=(1.0, 2.0, 4.0)):
         regime=NoiseRegime(Regime.SSG, max(noise_vars)),
         betas=betas,
         context_spec=ContextSpec(dimension=d),
-        noise_arms=tuple(gaussian_arm(0.0, v) for v in noise_vars[:k]),
+        arms=tuple(gaussian_arm(0.0, v) for v in noise_vars[:k]),
         lower_bound=min(noise_vars),
         seed=seed,
     )
@@ -225,10 +225,7 @@ class TestContextual:
         cut = 200
 
         def env_for(ctx):
-            return ContextualEnv(
-                np.asarray(cfg.betas), cfg.context_spec,
-                list(cfg.noise_arms), cfg.seed, contexts=ctx,
-            )
+            return ContextualEnv(cfg.betas, cfg.context_spec, cfg.arms, cfg.seed, contexts=ctx)
 
         other = contexts.copy()
         other[cut:] = -other[cut:][::-1]
@@ -253,10 +250,7 @@ class TestContextual:
             cfg = replace(_contextual_cfg(horizon, seed=2), context_spec=ContextSpec(2, 1e-12))
             contexts = np.random.default_rng(5).uniform(-math.sqrt(3), math.sqrt(3), (horizon, 2))
             contexts[:, 1] = 0.0
-            env = ContextualEnv(
-                np.asarray(cfg.betas), cfg.context_spec, list(cfg.noise_arms), cfg.seed,
-                contexts=contexts,
-            )
+            env = ContextualEnv(cfg.betas, cfg.context_spec, cfg.arms, cfg.seed, contexts=contexts)
             trace = run_contextual(cfg, env)
             assert trace.gamma_floored
             assert sum(trace.counts) == horizon
@@ -398,12 +392,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             PolicyConfig(
                 horizon=100, p=1.0, regime=NoiseRegime(Regime.SSG, None),
-                noise_arms=(gaussian_arm(0.0, 1.0),),
+                arms=(gaussian_arm(0.0, 1.0),), context_spec=ContextSpec(dimension=1),
             )
 
     def test_exactly_one_mode(self):
+        # betas and a context spec make a run contextual together or not at all
         with pytest.raises(ConfigurationError):
-            PolicyConfig(horizon=100, p=1.0, regime=NoiseRegime(Regime.SSG, None))
+            PolicyConfig(
+                horizon=100, p=1.0, regime=NoiseRegime(Regime.SSG, None),
+                arms=(gaussian_arm(0.0, 1.0),), betas=((1.0,),),
+            )
+        with pytest.raises(ConfigurationError, match="canonical arms"):
+            run_adaptive(_contextual_cfg(400))
 
     def test_nonpositive_lower_bound_rejected(self):
         for lower_bound in (0.0, -1.0):
@@ -425,14 +425,14 @@ class TestPhase1Threshold:
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     @pytest.mark.parametrize("horizon", [10**3, 10**4, 10**6, 10**9])
     def test_matches_linear_scan_of_evaluate(self, regime, p, horizon):
-        engine = _CIEngine(NoiseRegime(regime), delta_schedule("adaptive", p, horizon), None)
+        engine = _CIEngine(NoiseRegime(regime), delta_schedule(True, p, horizon), None)
         n = 2
         while not engine.evaluate(0, n, 1.0)[2]:
             n += 1
         assert engine.phase1_threshold() == n
 
     def test_unknown_under_gsg_or_override(self):
-        delta = delta_schedule("adaptive", INF, 10**4)
+        delta = delta_schedule(True, INF, 10**4)
         assert _CIEngine(NoiseRegime(Regime.GSG, 2.0), delta, None).phase1_threshold() is None
         pin = lambda k, n, s2: ConfidenceInterval(1.0, 1.0)
         engine = _CIEngine(NoiseRegime(Regime.SSG), delta, None, override=pin)
@@ -445,7 +445,7 @@ class TestPhase1Threshold:
         cfg = _gaussian_cfg(variances, horizon, p=p, regime=regime, seed=3)
         trace = run_adaptive(cfg)
         assert not trace.truncated
-        n_star = _CIEngine(cfg.regime, delta_schedule("adaptive", p, horizon), None)
+        n_star = _CIEngine(cfg.regime, delta_schedule(True, p, horizon), None)
         start = phase1_length(regime, None, horizon, len(variances))
         assert trace.phase1_ends == (max(start, n_star.phase1_threshold()),) * len(variances)
 
