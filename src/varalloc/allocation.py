@@ -187,22 +187,24 @@ def adaptive_weight(lcb_k: float, ucb_others, q: float) -> float:
     return float(own / (own + (others ** (q / 2.0)).sum()))
 
 
+def initial_share(lower_bound: float, proxy: float, num_arms: int, q: float) -> float:
+    """Share no optimal share falls below: lb^{q/2} / (lb^{q/2} + (K-1) * proxy^{q/2})."""
+    low = lower_bound ** (q / 2.0)
+    return low / (low + (num_arms - 1) * proxy ** (q / 2.0))
+
+
 def tau_nonadaptive(
     lower_bound: float, proxy: float, num_arms: int, horizon: int, q: float
 ) -> int:
     """Initial per-arm run length from the known variance floor and proxy.
 
-    floor( lb^{q/2} / (lb^{q/2} + (K-1) * proxy^{q/2}) * T ), clamped to
-    [2, T - K + 1] so the variance estimator is defined and every other arm
-    keeps at least one round.  The un-clamped value never exceeds the
-    smallest optimal count.
+    floor(initial_share * T), clamped to [2, T - K + 1] so the variance
+    estimator is defined and every other arm keeps at least one round.  The
+    un-clamped value never exceeds the smallest optimal count.
     """
     if lower_bound <= 0 or proxy <= 0:
         raise ConfigurationError("lower_bound and proxy must be positive")
     if lower_bound > proxy + 1e-12:
         raise ConfigurationError("lower_bound must not exceed the proxy")
-    low = lower_bound ** (q / 2.0)
-    high = proxy ** (q / 2.0)
-    share = low / (low + (num_arms - 1) * high)
-    tau = int(math.floor(share * horizon + _FLOOR_EPS))
+    tau = int(math.floor(initial_share(lower_bound, proxy, num_arms, q) * horizon + _FLOOR_EPS))
     return max(2, min(tau, horizon - num_arms + 1))

@@ -1,4 +1,4 @@
-"""Variance-concentration radii and confidence bounds for the three noise regimes.
+"""Variance-concentration radii and the confidence interval of each noise regime.
 
 All radii bound the deviation of the (n-1)-normalized sample variance around
 the true variance, each tail at probability delta:
@@ -16,6 +16,10 @@ the true variance, each tail at probability delta:
   exact Gaussian (chi-square tails):
     eps_plus  = 2*v*(sqrt(L/(n-1)) + L/(n-1))
     eps_minus = 2*v*sqrt(L/(n-1))
+
+`interval` turns them into the policies' (lcb, ucb) with the package's only
+branch over the regimes: additive at the proxy under GSG, multiplicative
+under SSG and Gaussian noise, where ucb = inf until s_minus < 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, InsufficientDataError, PhasePreconditionError
+from .arms import NoiseRegime, Regime
+from .errors import ConfigurationError, InsufficientDataError
 
 
 @dataclass(frozen=True)
@@ -32,12 +37,6 @@ class RadiusPair:
 
     eps_minus: float
     eps_plus: float
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    lcb: float
-    ucb: float
 
 
 def _check(n: int, delta: float):
@@ -86,30 +85,22 @@ def radius_gaussian(n: int, delta: float, sigma_x_sq: float) -> RadiusPair:
     )
 
 
-def ci_gsg(sigma_sq_hat: float, r: RadiusPair) -> ConfidenceInterval:
-    """Additive interval: [max(hat - eps_plus, 0), hat + eps_minus]."""
-    return ConfidenceInterval(
-        lcb=max(sigma_sq_hat - r.eps_plus, 0.0),
-        ucb=sigma_sq_hat + r.eps_minus,
-    )
+def interval(
+    regime: NoiseRegime, n: int, delta: float, sigma_sq_hat: float
+) -> tuple[float, float]:
+    """Variance interval (lcb, ucb) around the sample variance of n observations.
 
-
-def ci_ssg(sigma_sq_hat: float, s: RadiusPair) -> ConfidenceInterval:
-    """Multiplicative interval: [hat / (1 + s_plus), hat / (1 - s_minus)].
-
-    `s` holds the radii at unit variance (radius_ssg or radius_gaussian at
-    variance 1.0), so s_minus = s.eps_minus and s_plus = s.eps_plus.  Only
-    valid once s_minus < 1; before that the first phase of the adaptive
-    policy must keep sampling.
+    GSG: [max(hat - eps_plus, 0), hat + eps_minus] at the variance proxy.
+    SSG and Gaussian: [hat / (1 + s_plus), hat / (1 - s_minus)] from the radii
+    at unit variance, with ucb = inf while s_minus >= 1.
     """
-    if s.eps_minus >= 1.0:
-        raise PhasePreconditionError(
-            f"s_minus={s.eps_minus:.4f} >= 1: interval undefined at this sample size"
-        )
-    return ConfidenceInterval(
-        lcb=sigma_sq_hat / (1.0 + s.eps_plus),
-        ucb=sigma_sq_hat / (1.0 - s.eps_minus),
-    )
+    if regime.regime == Regime.GSG:
+        r = radius_gsg(n, delta, regime.sigma_sq_proxy)
+        return max(sigma_sq_hat - r.eps_plus, 0.0), sigma_sq_hat + r.eps_minus
+    radius = radius_ssg if regime.regime == Regime.SSG else radius_gaussian
+    s = radius(n, delta, 1.0)
+    ucb = sigma_sq_hat / (1.0 - s.eps_minus) if s.eps_minus < 1.0 else math.inf
+    return sigma_sq_hat / (1.0 + s.eps_plus), ucb
 
 
 def delta_schedule(adaptive: bool, p: float, horizon: int) -> float:

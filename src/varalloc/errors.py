@@ -25,9 +25,5 @@ class DegenerateInputError(VarallocError):
     """Inputs are degenerate for the requested operation (e.g. all-zero weights)."""
 
 
-class PhasePreconditionError(VarallocError):
-    """A confidence-bound construction is not yet valid at the current sample size."""
-
-
 class InstanceTooLargeError(VarallocError):
     """Exhaustive oracle was asked for an instance beyond its enumeration limit."""

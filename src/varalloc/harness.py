@@ -26,6 +26,7 @@ import numpy as np
 
 from .allocation import (
     VarianceProfile,
+    initial_share,
     optimal_objective,
     objective_rp,
     q_of_p,
@@ -46,21 +47,28 @@ from .arms import (
 from .errors import ConfigurationError, InstanceTooLargeError
 from .policies import PolicyConfig, run_adaptive, run_contextual, run_nonadaptive
 
+
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"not finite: {text}")
+    return value
+
+
 # One (column, Row field, parser) per CSV column, in column order.
 _CSV_SCHEMA = (
     ("experiment", "experiment", str),
     ("policy", "policy", str),
     ("regime", "regime", str),
-    ("p", "p", float),
+    ("p", "p", lambda text: validate_norm_order(float(text))),
     ("K", "num_arms", int),
     ("T", "horizon", int),
     ("trial", "trial", int),
     ("seed", "seed", int),
-    ("regret", "regret", float),
-    ("objective", "objective", float),
-    ("optimal_objective", "optimal_objective", float),
+    ("regret", "regret", _finite),
+    ("objective", "objective", _finite),
+    ("optimal_objective", "optimal_objective", _finite),
     ("bound_name", "bound_name", str),
-    ("bound_value", "bound_value", lambda text: float(text) if text else None),
+    ("bound_value", "bound_value", lambda text: _finite(text) if text else None),
     ("good_event", "good_event", {"1": True, "0": False, "": None}.__getitem__),
     ("runtime_ms", "runtime_ms", int),
 )
@@ -96,14 +104,6 @@ class BoundCurve:
         )
 
 
-def _initial_share(profile: VarianceProfile, num_arms: int, q: float) -> float:
-    if profile.lower_bound is None or profile.proxy is None:
-        raise ConfigurationError("this curve needs both lower_bound and proxy")
-    low = profile.lower_bound ** (q / 2.0)
-    high = profile.proxy ** (q / 2.0)
-    return low / (low + (num_arms - 1) * high)
-
-
 def make_bound_curve(
     theorem: str,
     profile: VarianceProfile,
@@ -130,14 +130,16 @@ def make_bound_curve(
     var_min = min(profile.variances)
     sd_min = math.sqrt(var_min)
     proxy = profile.proxy
+    if name.startswith(("t1", "t2", "t6")):
+        if profile.lower_bound is None or proxy is None:
+            raise ConfigurationError(f"{name} needs both lower_bound and proxy")
+        share = initial_share(profile.lower_bound, proxy, num_arms, q)
 
     if name == "t1_inf":
-        share = _initial_share(profile, num_arms, 2.0)
         factor = share**-0.5 * (num_arms + s_2 / profile.lower_bound - 2.0)
         const = 4.0 * math.sqrt(2.0) * proxy * factor
         return BoundCurve(name, const, -1.5, 0.5)
     if name == "t2_finite":
-        share = _initial_share(profile, num_arms, q)
         factor = p**2 * s_q ** (1.0 / p) * profile.power_sum(q - 4.0) / (share * (p + 1.0))
         return BoundCurve(name, 24.0 * proxy**2 * factor, -2.0, 1.0)
     if name == "t3_inf":
@@ -152,7 +154,6 @@ def make_bound_curve(
         factor = p**2 * s_q ** (2.0 / q) * profile.power_sum(-4.0) / (p + 1.0)
         return BoundCurve(name, 80.0 * dim * proxy / lambda_min_c * factor, -2.0, 1.0)
     if name == "t6_ssg_nonadaptive":
-        share = _initial_share(profile, num_arms, q)
         if math.isinf(p):
             return BoundCurve(name, 4.0 * share**-0.5 * (s_2 - var_min), -1.5, 0.5)
         return BoundCurve(
@@ -528,11 +529,13 @@ def read_csv(path: str) -> list[Row]:
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ConfigurationError(f"unexpected CSV columns in {path}")
         for rec in reader:
+            if None in rec:  # DictReader files cells beyond the header under None
+                raise ConfigurationError(f"{path}, line {reader.line_num}: too many cells")
             values = {}
             for col, field, parse in _CSV_SCHEMA:
                 try:
                     values[field] = parse(rec[col])
-                except (KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError, ConfigurationError):
                     raise ConfigurationError(
                         f"{path}, line {reader.line_num}: bad {col} value {rec[col]!r}"
                     ) from None

@@ -15,9 +15,13 @@ the budget so that total pulls equal the horizon exactly.
 The policies differ only in each arm's statistics object, `RunningMoments`
 or `RidgeState`: `_Run` folds the environment's summary of each pull segment
 into it and reads `variance()` and `point()` back, so a canonical run over
-Gaussian or Rademacher arms costs O(K * pull segments), not O(T).  Under SSG
-or Gaussian radii the first phase's pass threshold does not depend on the
-data; it is found once, and failing arms top up to it in one pull each.
+Gaussian or Rademacher arms costs O(K * pull segments), not O(T).
+
+Every variance interval is an (lcb, ucb) pair from `concentration.interval`,
+with ucb = inf while the interval is one-sided; an arm leaves the first
+phase once lcb > 0 and ucb < inf.  Under SSG or Gaussian noise the first n
+with a finite ucb does not depend on the data; it is found once, and failing
+arms top up to it in one pull each.
 """
 
 from __future__ import annotations
@@ -47,14 +51,7 @@ from .arms import (
     NoiseRegime,
     Regime,
 )
-from .concentration import (
-    ci_gsg,
-    ci_ssg,
-    delta_schedule,
-    radius_gaussian,
-    radius_gsg,
-    radius_ssg,
-)
+from .concentration import delta_schedule, interval
 from .errors import ConfigurationError, DegenerateInputError
 from .estimation import RidgeState, RunningMoments
 
@@ -156,7 +153,10 @@ def phase2_schedule(current_n: int, target: float, batch_growth: float) -> int:
 
 
 class _CIEngine:
-    """Regime-dependent confidence bounds plus good-event bookkeeping."""
+    """Each arm's variance interval plus good-event bookkeeping.  The interval
+    is `concentration.interval` for the run's regime, or the override's
+    (lcb, ucb); either way an arm passes the first phase once its interval is
+    two-sided: lcb > 0 and ucb < inf."""
 
     def __init__(self, regime: NoiseRegime, delta: float, truth, override=None):
         self.regime = regime
@@ -166,46 +166,23 @@ class _CIEngine:
         self.good = True if truth is not None else None
 
     def evaluate(self, k: int, n: int, sigma_sq_hat: float):
-        """Returns (lcb, ucb, phase1_ok); ucb is inf while undefined.
-
-        Clears the good event when the true variance falls outside [lcb, ucb].
-        """
+        """Returns (lcb, ucb, phase1_ok) and clears the good event when the
+        true variance falls outside [lcb, ucb]."""
         if self.override is not None:
-            ci = self.override(k, n, sigma_sq_hat)
-            lcb, ucb, ok = ci.lcb, ci.ucb, ci.lcb > 0.0
-        elif self.regime.regime == Regime.GSG:
-            r = radius_gsg(n, self.delta, self.regime.sigma_sq_proxy)
-            ci = ci_gsg(sigma_sq_hat, r)
-            lcb, ucb = ci.lcb, ci.ucb
-            ok = sigma_sq_hat - r.eps_plus > 0.0
+            lcb, ucb = self.override(k, n, sigma_sq_hat)
         else:
-            s, usable = self._unit_radii(n)
-            ok = usable and sigma_sq_hat > 0.0
-            if usable:
-                ci = ci_ssg(sigma_sq_hat, s)
-                lcb, ucb = ci.lcb, ci.ucb
-            else:  # upper bound undefined this early; lower bound still usable
-                lcb, ucb = sigma_sq_hat / (1.0 + s.eps_plus), math.inf
-        if self.good is not None:
-            v = self.truth[k]
-            if not (lcb <= v <= ucb):
-                self.good = False
-        return lcb, ucb, ok
-
-    def _unit_radii(self, n: int):
-        """SSG or Gaussian radii at unit variance (the factors s-, s+), and
-        whether the multiplicative interval is defined at n."""
-        radius = radius_ssg if self.regime.regime == Regime.SSG else radius_gaussian
-        s = radius(n, self.delta, 1.0)
-        return s, s.eps_minus < 1.0
+            lcb, ucb = interval(self.regime, n, self.delta, sigma_sq_hat)
+        if self.good is not None and not lcb <= self.truth[k] <= ucb:
+            self.good = False
+        return lcb, ucb, lcb > 0.0 and ucb < math.inf
 
     def phase1_threshold(self) -> int | None:
         """First n at which `evaluate` can pass, when that does not depend on
-        the data (SSG or Gaussian radii, no override): s_minus falls in n, so
-        doubling then bisection finds it.  None otherwise."""
+        the data (SSG or Gaussian radii, no override): the first n with a
+        finite ucb, found by doubling then bisection.  None otherwise."""
         if self.override is not None or self.regime.regime == Regime.GSG:
             return None
-        usable = lambda n: self._unit_radii(n)[1]
+        usable = lambda n: interval(self.regime, n, self.delta, 1.0)[1] < math.inf
         hi = 2
         while not usable(hi):
             hi *= 2
@@ -261,10 +238,7 @@ def _fill_by_priority(run, counts, priority) -> bool:
 def _phase3_weights(cfg, run, ci_engine, q, use_ucb: bool):
     sigma_hats = [run.sigma_hat(k) for k in range(cfg.num_arms)]
     if use_ucb:
-        ucbs = []
-        for k in range(cfg.num_arms):
-            _, ucb, _ = ci_engine.evaluate(k, run.pulls[k], sigma_hats[k])
-            ucbs.append(ucb)
+        ucbs = [ci_engine.evaluate(k, run.pulls[k], sigma_hats[k])[1] for k in range(cfg.num_arms)]
         # intervals can still be one-sided if the run starved in its first
         # phase; fall back to the plug-in shares then
         if all(math.isfinite(u) and u > 0 for u in ucbs):
@@ -292,10 +266,7 @@ def _phase1(cfg, run, ci_engine, q, adaptive: bool) -> tuple[list[int], bool]:
     for k in range(k_arms):
         run.draw(k, start - run.pulls[k])
 
-    def ok(k: int) -> bool:
-        _, _, passed = ci_engine.evaluate(k, run.pulls[k], run.sigma_hat(k))
-        return passed
-
+    ok = lambda k: ci_engine.evaluate(k, run.pulls[k], run.sigma_hat(k))[2]
     failing = [k for k in range(k_arms) if not ok(k)]
     if not adaptive:  # fixed length: the checks above only record the good event
         return run.pulls.copy(), False
@@ -309,10 +280,7 @@ def _phase1(cfg, run, ci_engine, q, adaptive: bool) -> tuple[list[int], bool]:
             steps = [1] * len(failing)
         still = []
         for k, step in zip(failing, steps):
-            if run.draw(k, step) == 0:
-                still.append(k)
-                continue
-            if not ok(k):
+            if run.draw(k, step) == 0 or not ok(k):
                 still.append(k)
         failing = still
     return run.pulls.copy(), bool(failing)

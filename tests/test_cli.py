@@ -245,6 +245,53 @@ def test_slopes_malformed_cell_exit_code(column, bad, tmp_path, capsys):
     assert "line 3" in err and _names(err, column)
 
 
+def _with_cell(column: str, text: str) -> str:
+    cells = VALID_ROW.split(",")
+    cells[CSV_COLUMNS.index(column)] = text
+    return ",".join(cells)
+
+
+BAD_NUMBER_CELLS = {
+    "regret-inf": ("regret", "inf"),
+    "regret-nan": ("regret", "nan"),
+    "objective-inf": ("objective", "-inf"),
+    "optimal_objective-nan": ("optimal_objective", "nan"),
+    "bound_value-inf": ("bound_value", "inf"),
+    "p-nan": ("p", "nan"),
+    "p-below-one": ("p", "0.5"),
+}
+
+
+@pytest.mark.parametrize("column, text", BAD_NUMBER_CELLS.values(), ids=BAD_NUMBER_CELLS.keys())
+def test_slopes_bad_number_cell_exit_code(column, text, tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + VALID_ROW + "\n" + _with_cell(column, text) + "\n")
+    assert main(["slopes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and _names(err, column)
+
+
+def _four_horizons(tmp_path, edit_third) -> str:
+    """A CSV that `slopes` can fit, with its third data row (line 4) edited."""
+    rows = [_with_cell("T", str(t)) for t in (400, 800, 1600, 3200)]
+    rows[2] = edit_third(rows[2])
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+    return str(path)
+
+
+def test_slopes_rejects_inf_regret_instead_of_nan_slope(tmp_path, capsys):
+    path = _four_horizons(tmp_path, lambda row: row.replace("0.001", "inf"))
+    assert main(["slopes", path]) == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out and "line 4" in err and _names(err, "regret")
+
+
+def test_slopes_extra_cell_exit_code(tmp_path, capsys):
+    assert main(["slopes", _four_horizons(tmp_path, lambda row: row + ",junk")]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_missing_config_exit_code():
     assert main(["simulate", "/does/not/exist.ini"]) == 2
 

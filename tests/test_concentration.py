@@ -5,20 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from varalloc.arms import NoiseRegime, Regime
 from varalloc.concentration import (
-    ci_gsg,
-    ci_ssg,
     delta_schedule,
+    interval,
     radius_gaussian,
     radius_gsg,
     radius_ssg,
-    RadiusPair,
 )
-from varalloc.errors import (
-    ConfigurationError,
-    InsufficientDataError,
-    PhasePreconditionError,
-)
+from varalloc.errors import ConfigurationError, InsufficientDataError
 
 E_INV = math.exp(-1.0)
 
@@ -109,42 +104,64 @@ class TestRadii:
                 assert ga.eps_minus <= ssg.eps_minus <= gsg.eps_minus
 
 
+GSG = NoiseRegime(Regime.GSG, 1.0)
+SSG = NoiseRegime(Regime.SSG)
+GAUSSIAN = NoiseRegime(Regime.GAUSSIAN)
+
+
 class TestIntervals:
     def test_additive_interval(self):
-        ci = ci_gsg(5.0, RadiusPair(eps_minus=1.0, eps_plus=2.0))
-        assert (ci.lcb, ci.ucb) == (3.0, 6.0)
+        r = radius_gsg(50, 0.1, 3.0)  # radii at the proxy, not at the estimate
+        assert interval(NoiseRegime(Regime.GSG, 3.0), 50, 0.1, 9.0) == (
+            9.0 - r.eps_plus, 9.0 + r.eps_minus,
+        )
 
     def test_lcb_clamped_at_zero(self):
-        ci = ci_gsg(1.0, RadiusPair(eps_minus=0.5, eps_plus=2.0))
-        assert ci.lcb == 0.0
+        lcb, ucb = interval(GSG, 2, E_INV, 1.0)  # eps_plus = 11
+        assert lcb == 0.0 and ucb == pytest.approx(1.0 + 8.0 + 13.0 / 6.0)
 
     def test_zero_radii_degenerate(self):
-        ci = ci_gsg(2.5, RadiusPair(0.0, 0.0))
-        assert ci.lcb == ci.ucb == 2.5
+        # the radii vanish as delta -> 1, and the interval shrinks to the estimate
+        lcb, ucb = interval(GSG, 10, 1.0 - 1e-12, 2.5)
+        assert lcb == pytest.approx(2.5, rel=1e-5) and ucb == pytest.approx(2.5, rel=1e-5)
 
     def test_multiplicative_interval(self):
-        ci = ci_ssg(2.0, RadiusPair(eps_minus=0.5, eps_plus=1.0))
-        assert (ci.lcb, ci.ucb) == (1.0, 4.0)
+        for regime, radius in ((SSG, radius_ssg), (GAUSSIAN, radius_gaussian)):
+            s = radius(400, 0.01, 1.0)
+            assert s.eps_minus < 1.0
+            assert interval(regime, 400, 0.01, 2.0) == (
+                2.0 / (1.0 + s.eps_plus), 2.0 / (1.0 - s.eps_minus),
+            )
+
+    def test_gaussian_hand_values(self):
+        # n = 17, L = 1: s_minus = 2 * sqrt(1/16) = 1/2, s_plus = 2 * (1/4 + 1/16) = 5/8
+        lcb, ucb = interval(GAUSSIAN, 17, E_INV, 2.0)
+        assert (lcb, ucb) == (pytest.approx(16.0 / 13.0), pytest.approx(4.0))
 
     def test_multiplicative_zero_factors(self):
-        ci = ci_ssg(2.0, RadiusPair(0.0, 0.0))
-        assert ci.lcb == ci.ucb == 2.0
+        for regime in (SSG, GAUSSIAN):
+            lcb, ucb = interval(regime, 10, 1.0 - 1e-12, 2.0)
+            assert lcb == pytest.approx(2.0, rel=1e-5) and ucb == pytest.approx(2.0, rel=1e-5)
 
     def test_multiplicative_precondition(self):
-        with pytest.raises(PhasePreconditionError):
-            ci_ssg(2.0, RadiusPair(eps_minus=1.0, eps_plus=0.5))
+        # no raise while s_minus >= 1: the lcb holds, the ucb is inf
+        for regime, radius in ((SSG, radius_ssg), (GAUSSIAN, radius_gaussian)):
+            s = radius(3, 0.01, 1.0)
+            assert s.eps_minus >= 1.0
+            assert interval(regime, 3, 0.01, 2.0) == (2.0 / (1.0 + s.eps_plus), math.inf)
+
+    def test_zero_estimate(self):
+        assert interval(GSG, 50, 0.1, 0.0)[0] == 0.0
+        assert interval(SSG, 400, 0.01, 0.0) == (0.0, 0.0)
 
     def test_interval_brackets_estimate(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             hat = float(rng.uniform(0.0, 5.0))
-            r = radius_gsg(int(rng.integers(2, 50)), float(rng.uniform(0.01, 0.5)), 1.0)
-            ci = ci_gsg(hat, r)
-            assert ci.lcb <= hat <= ci.ucb
-            s = radius_ssg(int(rng.integers(50, 500)), 0.01, 1.0)
-            if s.eps_minus < 1.0:
-                ci = ci_ssg(hat, s)
-                assert ci.lcb <= hat <= ci.ucb
+            delta = float(rng.uniform(0.01, 0.5))
+            for regime in (GSG, SSG, GAUSSIAN):
+                lcb, ucb = interval(regime, int(rng.integers(2, 500)), delta, hat)
+                assert 0.0 <= lcb <= hat <= ucb
 
 
 class TestSchedulesAndFactors:

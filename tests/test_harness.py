@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +280,14 @@ batch_growth = 2.5
             ExperimentConfig(**base, proxy=4.0, noise_variances="uniform 0.5 4")
         with pytest.raises(ConfigurationError, match="variance"):
             ExperimentConfig(**{**base, "bound": None}, noise_variances="uniform 0 4")
+
+
+ADAPTIVE_SSG = Path(__file__).resolve().parents[1] / "configs" / "gaussian_k4_adaptive_ssg.ini"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_adaptive_ssg_inf_slope_on_config_grid():
+    """The adaptive SSG policy at p = inf must reach the T^-3/2 rate on the
+    shipped config's own horizons, in criterion 4's band."""
+    cfg = dataclasses.replace(load_config(str(ADAPTIVE_SSG)), trials=40, seed=0, output=None)
+    assert -1.8 < slope_estimate(run_experiment(cfg)) < -1.2

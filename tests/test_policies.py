@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from varalloc.arms import ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm
-from varalloc.concentration import ConfidenceInterval, delta_schedule
+from varalloc.concentration import delta_schedule
 from varalloc.errors import ConfigurationError, ContractViolation
 from varalloc.estimation import RunningMoments
 from varalloc.policies import (
@@ -112,7 +112,7 @@ class TestAdaptive:
         cfg = _gaussian_cfg(
             truth, 200, proxy=4.0, lower_bound=1.0, seed=5
         )
-        pin = lambda k, n, s2: ConfidenceInterval(truth[k], truth[k])
+        pin = lambda k, n, s2: (truth[k], truth[k])
         trace = run_adaptive(cfg, ci_override=pin)
         assert trace.counts == (40, 160)
 
@@ -434,7 +434,7 @@ class TestPhase1Threshold:
     def test_unknown_under_gsg_or_override(self):
         delta = delta_schedule(True, INF, 10**4)
         assert _CIEngine(NoiseRegime(Regime.GSG, 2.0), delta, None).phase1_threshold() is None
-        pin = lambda k, n, s2: ConfidenceInterval(1.0, 1.0)
+        pin = lambda k, n, s2: (1.0, 1.0)
         engine = _CIEngine(NoiseRegime(Regime.SSG), delta, None, override=pin)
         assert engine.phase1_threshold() is None
 
