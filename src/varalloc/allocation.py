@@ -93,15 +93,15 @@ def round_allocation(
     Leftovers go one at a time to arms in decreasing priority (estimated
     variance) order, ties broken by lowest arm index.
     """
-    fractions = np.asarray(fractions, dtype=float)
-    priority = np.asarray(priority, dtype=float)
-    if not np.all(np.isfinite(fractions)) or abs(fractions.sum() - 1.0) > 1e-9:
+    fractions = [float(f) for f in fractions]
+    priority = [float(v) for v in priority]
+    if not all(map(math.isfinite, fractions)) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ContractViolation(f"fractions must be finite and sum to 1, got {fractions}")
     if len(priority) != len(fractions):
         raise ContractViolation("one priority per arm required")
-    counts = np.floor(fractions * horizon + _FLOOR_EPS).astype(int)
+    counts = [math.floor(f * horizon + _FLOOR_EPS) for f in fractions]
     order = sorted(range(len(fractions)), key=lambda k: (-priority[k], k))
-    residual = horizon - int(counts.sum())
+    residual = horizon - sum(counts)
     i = 0
     while residual > 0:
         counts[order[i % len(order)]] += 1
@@ -116,7 +116,7 @@ def round_allocation(
             counts[k] -= 1
             residual += 1
         i -= 1
-    return tuple(int(c) for c in counts)
+    return tuple(counts)
 
 
 def optimal_allocation(profile: VarianceProfile, p: float, horizon: int) -> AllocationPlan:
@@ -180,11 +180,16 @@ def adaptive_weight(lcb_k: float, ucb_others, q: float) -> float:
     """Pessimistic share for one arm: its LCB power against the others' UCBs."""
     if lcb_k < 0:
         raise ContractViolation("lcb must be nonnegative")
-    others = np.asarray(ucb_others, dtype=float)
-    if np.any(others <= 0):
+    others = [float(u) for u in ucb_others]
+    if any(u <= 0 for u in others):
         raise ContractViolation("ucb values must be positive")
-    own = lcb_k ** (q / 2.0)
-    return float(own / (own + (others ** (q / 2.0)).sum()))
+    half = q / 2.0
+    own = lcb_k**half
+    rest = 0.0
+    for u in others:  # a plain loop: sum() compensates from Python 3.12 on
+        rest += u**half
+    total = own + rest
+    return float(own / total) if total > 0.0 else math.nan  # 0/0: a lone arm at lcb 0
 
 
 def initial_share(lower_bound: float, proxy: float, num_arms: int, q: float) -> float:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import hashlib
 import math
 import sys
 from dataclasses import replace
@@ -126,17 +128,23 @@ def _cmd_selftest(args) -> int:
     def progress(done, total, bad):
         print(f"  {done}/{total} configs checked, {bad} failures", flush=True)
 
-    failures = run_selftest(args.configs, args.seed, progress if args.verbose else None)
-    if failures:
-        for line in failures[:50]:
-            print(f"FAIL {line}")
-        print(f"selftest: {len(failures)} failures over {args.configs} configs")
-        return EXIT_CHECK
-    print(f"selftest: 0 failures over {args.configs} configs")
-    return EXIT_OK
+    digest = hashlib.sha256()
+    failures = run_selftest(
+        args.configs, args.seed, progress if args.verbose else None, digest
+    )
+    for line in failures[:50]:
+        print(f"FAIL {line}")
+    print(
+        f"selftest: {len(failures)} failures over {args.configs} configs, "
+        f"trace digest {digest.hexdigest()}"
+    )
+    return EXIT_CHECK if failures else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand parser, built once per process; every call returns the
+    same object, so callers parse with it and do not modify it."""
     parser = argparse.ArgumentParser(
         prog="varalloc",
         description="Budget-allocation policies for multi-group mean estimation.",

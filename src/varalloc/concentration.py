@@ -17,18 +17,25 @@ the true variance, each tail at probability delta:
     eps_plus  = 2*v*(sqrt(L/(n-1)) + L/(n-1))
     eps_minus = 2*v*sqrt(L/(n-1))
 
-`interval` turns them into the policies' (lcb, ucb) with the package's only
-branch over the regimes: additive at the proxy under GSG, multiplicative
-under SSG and Gaussian noise, where ucb = inf until s_minus < 1.
+`interval` turns them into the policies' (lcb, ucb); it and its radii memo
+hold the package's only branch over the regimes: additive at the proxy under
+GSG, multiplicative under SSG and Gaussian noise, where ucb = inf until
+s_minus < 1.  The radii depend on (regime, n, delta) alone, never on the
+data, so they are memoized across runs in a fixed-size cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .arms import NoiseRegime, Regime
 from .errors import ConfigurationError, InsufficientDataError
+
+# Entries of the radii memo.  The runs of one horizon share their keys, and a
+# fixed bound keeps the memo's memory flat however many horizons a sweep has.
+_RADII_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ def _f_ssg(n: int) -> float:
     return (1.0 + math.sqrt((n - 1.0) / 8.0)) / math.sqrt(n)
 
 
-def _radii(n: int, delta: float, scale: float, f: float) -> RadiusPair:
+def _subgaussian(n: int, delta: float, scale: float, f: float) -> RadiusPair:
     log_term = math.log(1.0 / delta)
     lead = 4.0 * scale * f * math.sqrt(2.0 * log_term / (n - 1.0))
     plus = lead + 6.0 * scale * log_term / n
@@ -65,13 +72,13 @@ def _radii(n: int, delta: float, scale: float, f: float) -> RadiusPair:
 def radius_gsg(n: int, delta: float, sigma_sq_proxy: float) -> RadiusPair:
     """Two-sided radii under a known subgaussian variance proxy."""
     _check(n, delta)
-    return _radii(n, delta, sigma_sq_proxy, _f_gsg(n))
+    return _subgaussian(n, delta, sigma_sq_proxy, _f_gsg(n))
 
 
 def radius_ssg(n: int, delta: float, sigma_sq_hat_or_true: float) -> RadiusPair:
     """Strictly-subgaussian radii scaled by the (estimated or true) variance."""
     _check(n, delta)
-    return _radii(n, delta, sigma_sq_hat_or_true, _f_ssg(n))
+    return _subgaussian(n, delta, sigma_sq_hat_or_true, _f_ssg(n))
 
 
 def radius_gaussian(n: int, delta: float, sigma_x_sq: float) -> RadiusPair:
@@ -85,6 +92,18 @@ def radius_gaussian(n: int, delta: float, sigma_x_sq: float) -> RadiusPair:
     )
 
 
+@functools.lru_cache(maxsize=_RADII_CACHE_SIZE)
+def _radii(regime: NoiseRegime, n: int, delta: float) -> tuple[float, float]:
+    """(eps_minus, eps_plus) for `interval`: at the proxy under GSG, at unit
+    variance (the factors s+-) under SSG and Gaussian noise."""
+    if regime.regime == Regime.GSG:
+        r = radius_gsg(n, delta, regime.sigma_sq_proxy)
+    else:
+        radius = radius_ssg if regime.regime == Regime.SSG else radius_gaussian
+        r = radius(n, delta, 1.0)
+    return r.eps_minus, r.eps_plus
+
+
 def interval(
     regime: NoiseRegime, n: int, delta: float, sigma_sq_hat: float
 ) -> tuple[float, float]:
@@ -92,15 +111,15 @@ def interval(
 
     GSG: [max(hat - eps_plus, 0), hat + eps_minus] at the variance proxy.
     SSG and Gaussian: [hat / (1 + s_plus), hat / (1 - s_minus)] from the radii
-    at unit variance, with ucb = inf while s_minus >= 1.
+    at unit variance, with ucb = inf while s_minus >= 1.  The radii are a pure
+    function of (regime, n, delta) and come from a least-recently-used memo of
+    `_RADII_CACHE_SIZE` entries; only the last step reads sigma_sq_hat.
     """
+    eps_minus, eps_plus = _radii(regime, n, delta)
     if regime.regime == Regime.GSG:
-        r = radius_gsg(n, delta, regime.sigma_sq_proxy)
-        return max(sigma_sq_hat - r.eps_plus, 0.0), sigma_sq_hat + r.eps_minus
-    radius = radius_ssg if regime.regime == Regime.SSG else radius_gaussian
-    s = radius(n, delta, 1.0)
-    ucb = sigma_sq_hat / (1.0 - s.eps_minus) if s.eps_minus < 1.0 else math.inf
-    return sigma_sq_hat / (1.0 + s.eps_plus), ucb
+        return max(sigma_sq_hat - eps_plus, 0.0), sigma_sq_hat + eps_minus
+    ucb = sigma_sq_hat / (1.0 - eps_minus) if eps_minus < 1.0 else math.inf
+    return sigma_sq_hat / (1.0 + eps_plus), ucb
 
 
 def delta_schedule(adaptive: bool, p: float, horizon: int) -> float:

@@ -81,6 +81,7 @@ class RidgeState:
     floored: bool = False  # some point() fell back to the penalty floor
     _ctx_chunks: list = field(default_factory=list)
     _reward_chunks: list = field(default_factory=list)
+    _point_at: tuple = (-1, ())  # (n, point()) of the last solve
     _variance_at: tuple = (-1, 0.0)  # (n, variance()) of the last computation
 
     def __post_init__(self):
@@ -122,9 +123,11 @@ class RidgeState:
         return _solve_spd(gamma * np.eye(self.dim) + self.gram, self.xty)
 
     def point(self) -> tuple[float, ...]:
-        """Ridge coefficients at penalty lambda_min / max(n, 1); a singular system is
-        solved again at penalty 1e-8 * max(1, largest Gram eigenvalue), and
-        `floored` is set."""
+        """Ridge coefficients at penalty lambda_min / max(n, 1), solved once per
+        count n; a singular system is solved again at penalty
+        1e-8 * max(1, largest Gram eigenvalue), and `floored` is set."""
+        if self._point_at[0] == self.n:
+            return self._point_at[1]
         gamma = self.lambda_min / max(self.n, 1)
         try:
             beta = self.estimate(gamma)
@@ -132,7 +135,8 @@ class RidgeState:
             self.floored = True
             floor = 1e-8 * max(1.0, float(np.linalg.eigvalsh(self.gram)[-1]))
             beta = self.estimate(max(gamma, floor))
-        return tuple(beta.tolist())
+        self._point_at = (self.n, tuple(beta.tolist()))
+        return self._point_at[1]
 
     def variance(self) -> float:
         """Residual variance at `point()`, computed once per count n."""

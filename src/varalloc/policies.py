@@ -20,13 +20,15 @@ Gaussian or Rademacher arms costs O(K * pull segments), not O(T).
 Every variance interval is an (lcb, ucb) pair from `concentration.interval`,
 with ucb = inf while the interval is one-sided; an arm leaves the first
 phase once lcb > 0 and ucb < inf.  Under SSG or Gaussian noise the first n
-with a finite ucb does not depend on the data; it is found once, and failing
-arms top up to it in one pull each.
+with a finite ucb does not depend on the data; it is found once per
+(regime, delta) and memoized across runs, and failing arms top up to it in
+one pull each.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +60,9 @@ from .estimation import RidgeState, RunningMoments
 # Upper bound on elimination sweeps; the share iteration converges in far
 # fewer, this only guards against pathological stalls.
 _SWEEP_CAP = 512
+# Entries of the phase-1 threshold memo, one per (regime, delta): a sweep uses
+# one delta per (horizon, p, policy).
+_THRESHOLD_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -179,15 +184,24 @@ class _CIEngine:
     def phase1_threshold(self) -> int | None:
         """First n at which `evaluate` can pass, when that does not depend on
         the data (SSG or Gaussian radii, no override): the first n with a
-        finite ucb, found by doubling then bisection.  None otherwise."""
+        finite ucb, a pure function of (regime, delta) that is computed once
+        and memoized across runs.  None otherwise."""
         if self.override is not None or self.regime.regime == Regime.GSG:
             return None
-        usable = lambda n: interval(self.regime, n, self.delta, 1.0)[1] < math.inf
-        hi = 2
-        while not usable(hi):
-            hi *= 2
-        lo = hi // 2 + 1  # hi // 2 is not usable, unless hi == 2
-        return lo + bisect.bisect_left(range(lo, hi + 1), True, key=usable)
+        return _first_finite_ucb(self.regime.regime, self.delta)
+
+
+@functools.lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
+def _first_finite_ucb(regime: Regime, delta: float) -> int:
+    """First n at which the SSG or Gaussian interval has a finite ucb, found by
+    doubling then bisection; the proxy plays no part in those intervals."""
+    noise = NoiseRegime(regime)
+    usable = lambda n: interval(noise, n, delta, 1.0)[1] < math.inf
+    hi = 2
+    while not usable(hi):
+        hi *= 2
+    lo = hi // 2 + 1  # hi // 2 is not usable, unless hi == 2
+    return lo + bisect.bisect_left(range(lo, hi + 1), True, key=usable)
 
 
 class _Run:

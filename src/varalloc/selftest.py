@@ -145,7 +145,8 @@ def _check_share_function(rng, failures: list[str], tag: str):
 
 
 def _check_context_commitment(cfg: PolicyConfig, failures: list[str], tag: str):
-    """Replaying with permuted future contexts must not change earlier commits."""
+    """Replaying with permuted future contexts must not change earlier commits.
+    Returns the two traces it ran."""
     dim = cfg.context_spec.dimension
     rng = np.random.default_rng(cfg.seed)
     contexts = rng.uniform(-math.sqrt(3), math.sqrt(3), (cfg.horizon, dim))
@@ -168,12 +169,26 @@ def _check_context_commitment(cfg: PolicyConfig, failures: list[str], tag: str):
     seq_a, seq_b = expand(trace_a.pull_order), expand(trace_b.pull_order)
     if seq_a[:cut] != seq_b[:cut]:
         failures.append(f"{tag}: committed arms changed with future contexts")
+    return trace_a, trace_b
 
 
-def run_selftest(num_configs: int = 1000, seed: int = 2024, progress=None) -> list[str]:
-    """Run the invariant battery; returns a list of failure descriptions."""
+def run_selftest(
+    num_configs: int = 1000, seed: int = 2024, progress=None, digest=None
+) -> list[str]:
+    """Run the invariant battery; returns a list of failure descriptions.
+
+    `digest`, a hashlib object, when given is fed the repr of
+    `dataclasses.astuple` of every trace the battery makes, in run order, so
+    two builds that agree on every run give the same digest.
+    """
     rng = np.random.default_rng(seed)
     failures: list[str] = []
+
+    def record(*traces):
+        if digest is not None:
+            for trace in traces:
+                digest.update(repr(dataclasses.astuple(trace)).encode())
+
     for i in range(num_configs):
         tag = f"config {i}"
         _check_share_function(rng, failures, tag)
@@ -184,13 +199,15 @@ def run_selftest(num_configs: int = 1000, seed: int = 2024, progress=None) -> li
         else:
             cfg, policy = _random_canonical_cfg(rng)
         trace = _run(cfg, policy)
+        record(trace)
         _check_trace(cfg, policy, trace, failures, tag)
         if i % 10 == 0:
             again = _run(cfg, policy)
+            record(again)
             if dataclasses.astuple(again) != dataclasses.astuple(trace):
                 failures.append(f"{tag}: rerun with the same seed diverged")
         if contextual and i % 16 == 0:
-            _check_context_commitment(cfg, failures, tag)
+            record(*_check_context_commitment(cfg, failures, tag))
         if progress is not None and (i + 1) % 100 == 0:
             progress(i + 1, num_configs, len(failures))
     return failures

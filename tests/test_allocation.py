@@ -148,6 +148,20 @@ class TestWeights:
         assert adaptive_weight(1.0, [4.0], 2.0) == pytest.approx(0.2)
         assert adaptive_weight(0.0, [1.0, 2.0], 2.0) == 0.0
         assert adaptive_weight(3.0, [3.0, 3.0], 1.3) == pytest.approx(1 / 3)
+        assert adaptive_weight(2.0, [], 2.0) == 1.0
+        assert math.isnan(adaptive_weight(0.0, [], 2.0))  # 0/0 for a lone arm
+
+    def test_adaptive_weight_matches_numpy_reference(self):
+        # numpy's vectorized pow may differ from the C library's in the last
+        # place, so the shares agree to a few ulps, not bit for bit
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            q = q_of_p(float(rng.choice([1.0, 2.0, 3.5, math.inf])))
+            lcb, others = float(rng.uniform(0.0, 5.0)), rng.uniform(0.01, 5.0, rng.integers(1, 8))
+            own = lcb ** (q / 2.0)
+            want = float(own / (own + (others ** (q / 2.0)).sum()))
+            got = adaptive_weight(lcb, others, q)
+            assert got == pytest.approx(want, rel=64 * np.finfo(float).eps, abs=0.0)
 
     def test_phase3_ucb_values(self):
         # the optimistic final shares are the plug-in rule applied to UCBs
@@ -212,6 +226,17 @@ class TestRounding:
 
     def test_tie_breaks_to_lowest_index(self):
         assert round_allocation([1 / 3] * 3, 10, [1.0, 1.0, 1.0]) == (4, 3, 3)
+
+    def test_floors_match_numpy_reference(self):
+        # the floors are elementwise IEEE arithmetic, exact in either form
+        rng = np.random.default_rng(4)
+        for _ in range(2000):
+            raw = rng.uniform(0.05, 1.0, rng.integers(2, 9))
+            weights, horizon = raw / raw.sum(), int(rng.integers(10, 10**7))
+            want = np.floor(weights * horizon + 1e-9).astype(int)
+            order = sorted(range(len(raw)), key=lambda k: (-raw[k], k))
+            want[order[: horizon - want.sum()]] += 1
+            assert round_allocation(weights, horizon, raw) == tuple(want.tolist())
 
     @given(
         st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=6),

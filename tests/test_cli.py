@@ -71,8 +71,13 @@ def test_slopes_from_csv(config_path, tmp_path, capsys):
 
 
 def test_selftest_small_battery(capsys):
-    assert main(["selftest", "--configs", "25", "--seed", "7"]) == 0
-    assert "0 failures" in capsys.readouterr().out
+    digests = []
+    for _ in range(2):
+        assert main(["selftest", "--configs", "25", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "0 failures" in out
+        digests.append(re.search(r"trace digest ([0-9a-f]{64})$", out.strip()).group(1))
+    assert digests[0] == digests[1]
 
 
 def test_configuration_error_exit_code(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from varalloc import concentration
 from varalloc.arms import NoiseRegime, Regime
 from varalloc.concentration import (
     delta_schedule,
@@ -153,6 +154,29 @@ class TestIntervals:
     def test_zero_estimate(self):
         assert interval(GSG, 50, 0.1, 0.0)[0] == 0.0
         assert interval(SSG, 400, 0.01, 0.0) == (0.0, 0.0)
+
+    def test_interval_from_the_public_radii(self):
+        # the memoized radii change no answer: over more (regime, n, delta) keys
+        # than the memo holds, walked twice so that evicted keys are recomputed
+        keys = [
+            (regime, n, delta)
+            for regime in (GSG, SSG, GAUSSIAN)
+            for n in range(2, 400, 7)
+            for delta in (1e-9, 1e-4, 0.05, 0.3)
+        ]
+        assert len(keys) > concentration._RADII_CACHE_SIZE
+        for _ in range(2):
+            for regime, n, delta in keys:
+                hat = 0.25 + n / 100.0
+                if regime is GSG:
+                    r = radius_gsg(n, delta, regime.sigma_sq_proxy)
+                    want = (max(hat - r.eps_plus, 0.0), hat + r.eps_minus)
+                else:
+                    radius = radius_ssg if regime is SSG else radius_gaussian
+                    s = radius(n, delta, 1.0)
+                    ucb = hat / (1.0 - s.eps_minus) if s.eps_minus < 1.0 else math.inf
+                    want = (hat / (1.0 + s.eps_plus), ucb)
+                assert interval(regime, n, delta, hat) == want
 
     def test_interval_brackets_estimate(self):
         rng = np.random.default_rng(0)

@@ -156,6 +156,20 @@ class TestRidge:
         s.update_many(RidgeState.of([[0.5, -1.0]], [3.0], 2.0))  # a new count recomputes
         assert s.variance() == s.residual_variance(s.point())
 
+    def test_point_solved_once_per_count(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        s = RidgeState.of(rng.normal(size=(6, 2)), rng.normal(size=6), 1.0)
+        solves = []
+        estimate = RidgeState.estimate
+        monkeypatch.setattr(
+            RidgeState, "estimate", lambda self, gamma: solves.append(gamma) or estimate(self, gamma)
+        )
+        first = s.point()
+        assert s.point() == first and s.variance() == s.residual_variance(first)
+        assert solves == [1.0 / 6]
+        s.update_many(RidgeState.of([[0.5, -1.0]], [3.0], 1.0))  # a new count solves again
+        assert s.point() != first and solves == [1.0 / 6, 1.0 / 7]
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
     def test_shrinkage_in_gamma(self, seed):

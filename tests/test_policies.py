@@ -1,12 +1,16 @@
 """Policy state machines: budget identity, determinism, phase logic, stubs."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import varalloc
 from varalloc.arms import ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm
 from varalloc.concentration import delta_schedule
 from varalloc.errors import ConfigurationError, ContractViolation
@@ -469,3 +473,38 @@ def test_horizon_is_a_parameter_not_a_loop_count():
         tracemalloc.stop()
     assert sum(trace.counts) == 10**9
     assert peak < 2**20
+
+
+# Traces of a fixed set of selftest-drawn runs, each canonical one also under
+# GSG at its proxy; run in this process and in a fresh interpreter.
+_CACHE_PROBE = """
+import dataclasses
+import numpy as np
+from varalloc import selftest
+from varalloc.arms import NoiseRegime, Regime
+
+def probe(seed):
+    rng = np.random.default_rng(seed)
+    runs = [(selftest._random_contextual_cfg(rng), "contextual")]
+    for _ in range(12):
+        cfg, policy = selftest._random_canonical_cfg(rng)
+        gsg = NoiseRegime(Regime.GSG, cfg.regime.sigma_sq_proxy)
+        runs += [(cfg, policy), (dataclasses.replace(cfg, regime=gsg), policy)]
+    return [repr(dataclasses.astuple(selftest._run(cfg, policy))) for cfg, policy in runs]
+"""
+
+
+def test_cold_and_warm_caches_give_the_same_traces():
+    # the radii and phase-1 threshold memos change no answer: a run in a fresh
+    # interpreter equals the same run here after 300 others filled and cycled them
+    src = Path(varalloc.__file__).resolve().parents[1]
+    code = _CACHE_PROBE + "\nprint('\\n'.join(probe(41)))"
+    cold = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True,
+        timeout=120,
+    ).stdout.splitlines()
+    probe = {}
+    exec(_CACHE_PROBE, probe)
+    for seed in range(12):  # 25 runs a seed, 300 in all
+        probe["probe"](1000 + seed)
+    assert probe["probe"](41) == cold
