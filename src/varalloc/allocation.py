@@ -129,8 +129,7 @@ def optimal_allocation(profile: VarianceProfile, p: float, horizon: int) -> Allo
     q = q_of_p(p)
     if horizon < profile.num_arms:
         raise ConfigurationError("horizon must be at least the number of arms")
-    powers = np.array([v ** (q / 2.0) for v in profile.variances])
-    fractions = powers / powers.sum()
+    fractions = plugin_weights(profile.variances, q)
     floors = np.maximum(np.floor(fractions * horizon + _FLOOR_EPS), 1.0)
     priority = np.asarray(profile.variances) / floors
     counts = round_allocation(fractions, horizon, priority)
@@ -165,15 +164,19 @@ def optimal_objective(profile: VarianceProfile, p: float, horizon: int) -> float
 
 def plugin_weights(variance_estimates, q: float) -> np.ndarray:
     """Normalized q/2 powers of variance estimates: the plug-in shares, or the
-    optimistic ones when the estimates are UCBs."""
-    est = np.asarray(variance_estimates, dtype=float)
-    if np.any(est < 0):
+    optimistic ones when the estimates are UCBs.  The powers are taken on
+    Python floats, as in `adaptive_weight`, so shares do not depend on which
+    vectorized pow the local numpy dispatches to."""
+    est = [float(v) for v in variance_estimates]
+    if any(v < 0 for v in est):
         raise ContractViolation("variance estimates must be nonnegative")
-    powers = est ** (q / 2.0)
-    total = powers.sum()
+    powers = [v ** (q / 2.0) for v in est]
+    total = 0.0
+    for x in powers:  # a plain loop: sum() compensates from Python 3.12 on
+        total += x
     if total <= 0.0:
         raise DegenerateInputError("all variance estimates are zero")
-    return powers / total
+    return np.array(powers) / total
 
 
 def adaptive_weight(lcb_k: float, ucb_others, q: float) -> float:

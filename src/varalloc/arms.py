@@ -182,8 +182,10 @@ class CanonicalEnv:
 class ContextualEnv:
     """Linear-reward environment: shared context stream, per-arm noise streams.
 
-    The context at round t is consumed in round order regardless of which
-    arm was committed, matching the decide-then-observe protocol.  A
+    Arm k's reward is its context times `betas[k]` plus a draw from
+    `noise_arms[k]`, a mean-zero `ArmSpec` whose variance is the arm's true
+    variance.  The context at round t is consumed in round order regardless
+    of which arm was committed, matching the decide-then-observe protocol.  A
     pre-drawn context array can be injected for replay tests.
     """
 
@@ -201,7 +203,7 @@ class ContextualEnv:
         if betas.shape[1] != context_spec.dimension:
             raise ConfigurationError("beta dimension must match the context dimension")
         for arm in noise_arms:
-            if arm is not None and arm.mean != 0.0:
+            if arm.mean != 0.0:
                 raise ConfigurationError("contextual noise arms must have mean 0")
         self.betas = betas
         self.spec = context_spec
@@ -217,9 +219,7 @@ class ContextualEnv:
         return self.spec.dimension
 
     @property
-    def true_variances(self) -> list[float] | None:
-        if any(a is None for a in self.noise_arms):
-            return None
+    def true_variances(self) -> list[float]:
         return [a.variance for a in self.noise_arms]
 
     def _next_contexts(self, m: int) -> np.ndarray:
@@ -236,8 +236,6 @@ class ContextualEnv:
         """Commit arm k for the next m rounds; returns the `RidgeState`
         summary of those rounds' (context, reward) rows."""
         ctx = self._next_contexts(m)
-        rewards = ctx @ self.betas[k]
-        if self.noise_arms[k] is not None:
-            rewards = rewards + sample_reward(self.noise_arms[k], self._noise_rngs[k], m)
+        rewards = ctx @ self.betas[k] + sample_reward(self.noise_arms[k], self._noise_rngs[k], m)
         return RidgeState.of(ctx, rewards, self.spec.lambda_min)
 

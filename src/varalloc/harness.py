@@ -19,7 +19,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,7 +68,7 @@ _CSV_SCHEMA = (
     ("optimal_objective", "optimal_objective", _finite),
     ("bound_name", "bound_name", str),
     ("bound_value", "bound_value", lambda text: _finite(text) if text else None),
-    ("good_event", "good_event", {"1": True, "0": False, "": None}.__getitem__),
+    ("good_event", "good_event", {"1": True, "0": False}.__getitem__),
     ("runtime_ms", "runtime_ms", int),
 )
 CSV_COLUMNS = tuple(column for column, _, _ in _CSV_SCHEMA)
@@ -349,7 +348,7 @@ class Row:
     optimal_objective: float
     bound_name: str
     bound_value: float | None
-    good_event: bool | None
+    good_event: bool
     runtime_ms: int
 
 
@@ -492,6 +491,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     tasks = [(cfg, t, i) for t in cfg.horizons for i in range(cfg.trials)]
     workers = min(cfg.workers, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # spares serial runs its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, tasks, chunksize=8))
     else:

@@ -116,17 +116,19 @@ class PolicyConfig:
 
 @dataclass
 class PolicyTrace:
-    """Full record of one run."""
+    """Full record of one run.  The objective, its optimum and the regret are
+    measured against the environment's true variances, and `good_event_held`
+    says whether every variance interval the run computed contained them."""
 
     counts: tuple[int, ...]
     phase1_ends: tuple[int, ...]
     stopping_times: tuple[int, ...]
     estimates: tuple
     variance_estimates: tuple[float, ...]
-    realized_objective: float | None
-    optimal_objective: float | None
-    realized_regret: float | None
-    good_event_held: bool | None
+    realized_objective: float
+    optimal_objective: float
+    realized_regret: float
+    good_event_held: bool
     truncated: bool = False
     budget_clamped: bool = False
     gamma_floored: bool = False
@@ -158,35 +160,31 @@ def phase2_schedule(current_n: int, target: float, batch_growth: float) -> int:
 
 
 class _CIEngine:
-    """Each arm's variance interval plus good-event bookkeeping.  The interval
-    is `concentration.interval` for the run's regime, or the override's
-    (lcb, ucb); either way an arm passes the first phase once its interval is
-    two-sided: lcb > 0 and ucb < inf."""
+    """Each arm's variance interval, `concentration.interval` for the run's
+    regime, plus the good event: whether every interval so far held the
+    arm's true variance in `truth`.  An arm passes the first phase once its
+    interval is two-sided: lcb > 0 and ucb < inf."""
 
-    def __init__(self, regime: NoiseRegime, delta: float, truth, override=None):
+    def __init__(self, regime: NoiseRegime, delta: float, truth):
         self.regime = regime
         self.delta = delta
-        self.truth = truth  # true variances, or None when unknown
-        self.override = override
-        self.good = True if truth is not None else None
+        self.truth = truth
+        self.good = True
 
     def evaluate(self, k: int, n: int, sigma_sq_hat: float):
         """Returns (lcb, ucb, phase1_ok) and clears the good event when the
         true variance falls outside [lcb, ucb]."""
-        if self.override is not None:
-            lcb, ucb = self.override(k, n, sigma_sq_hat)
-        else:
-            lcb, ucb = interval(self.regime, n, self.delta, sigma_sq_hat)
-        if self.good is not None and not lcb <= self.truth[k] <= ucb:
+        lcb, ucb = interval(self.regime, n, self.delta, sigma_sq_hat)
+        if not lcb <= self.truth[k] <= ucb:
             self.good = False
         return lcb, ucb, lcb > 0.0 and ucb < math.inf
 
     def phase1_threshold(self) -> int | None:
         """First n at which `evaluate` can pass, when that does not depend on
-        the data (SSG or Gaussian radii, no override): the first n with a
-        finite ucb, a pure function of (regime, delta) that is computed once
-        and memoized across runs.  None otherwise."""
-        if self.override is not None or self.regime.regime == Regime.GSG:
+        the data (SSG or Gaussian radii): the first n with a finite ucb, a
+        pure function of (regime, delta) that is computed once and memoized
+        across runs.  None under GSG."""
+        if self.regime.regime == Regime.GSG:
             return None
         return _first_finite_ucb(self.regime.regime, self.delta)
 
@@ -330,14 +328,14 @@ def _phase2(cfg, run, ci_engine, q) -> tuple[list[int], bool]:
     return stopping, truncated
 
 
-def _run_policy(cfg: PolicyConfig, run, adaptive: bool, ci_override=None) -> PolicyTrace:
+def _run_policy(cfg: PolicyConfig, run, adaptive: bool) -> PolicyTrace:
     """The skeleton every policy shares.  The non-adaptive variant keeps the
     first phase at its fixed length, has no second phase, and always uses
     plug-in final shares."""
     q = q_of_p(cfg.p)
     delta = delta_schedule(adaptive, cfg.p, cfg.horizon)
     truth = run.env.true_variances
-    ci_engine = _CIEngine(cfg.regime, delta, truth, ci_override)
+    ci_engine = _CIEngine(cfg.regime, delta, truth)
     phase1_ends, starved = _phase1(cfg, run, ci_engine, q, adaptive)
     if adaptive and not starved:
         stopping, truncated = _phase2(cfg, run, ci_engine, q)
@@ -348,12 +346,9 @@ def _run_policy(cfg: PolicyConfig, run, adaptive: bool, ci_override=None) -> Pol
     counts = round_allocation(weights, cfg.horizon, sigma_hats)
     clamped = _fill_by_priority(run, counts, sigma_hats)
 
-    realized = optimal = regret = None
-    if truth is not None:
-        profile = VarianceProfile(tuple(truth))
-        realized = run.objective_scale * objective_rp(run.pulls, truth, cfg.p)
-        optimal = run.objective_scale * optimal_objective(profile, cfg.p, cfg.horizon)
-        regret = realized - optimal
+    realized = run.objective_scale * objective_rp(run.pulls, truth, cfg.p)
+    profile = VarianceProfile(tuple(truth))
+    optimal = run.objective_scale * optimal_objective(profile, cfg.p, cfg.horizon)
     estimates = tuple(stats.point() for stats in run.stats)  # can set `floored`
     return PolicyTrace(
         counts=tuple(run.pulls),
@@ -363,7 +358,7 @@ def _run_policy(cfg: PolicyConfig, run, adaptive: bool, ci_override=None) -> Pol
         variance_estimates=tuple(sigma_hats),
         realized_objective=realized,
         optimal_objective=optimal,
-        realized_regret=regret,
+        realized_regret=realized - optimal,
         good_event_held=ci_engine.good,
         truncated=truncated,
         budget_clamped=clamped,
@@ -387,9 +382,9 @@ def run_nonadaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
     return _run_policy(cfg, _canonical_run(cfg, env), adaptive=False)
 
 
-def run_adaptive(cfg: PolicyConfig, env=None, ci_override=None) -> PolicyTrace:
+def run_adaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
     """Three-phase adaptive policy; needs no variance floor."""
-    return _run_policy(cfg, _canonical_run(cfg, env), adaptive=True, ci_override=ci_override)
+    return _run_policy(cfg, _canonical_run(cfg, env), adaptive=True)
 
 
 def run_contextual(cfg: PolicyConfig, env=None) -> PolicyTrace:

@@ -163,6 +163,23 @@ class TestWeights:
             got = adaptive_weight(lcb, others, q)
             assert got == pytest.approx(want, rel=64 * np.finfo(float).eps, abs=0.0)
 
+    def test_plugin_weights_are_python_float_powers(self):
+        # v**(q/2) / total on Python floats summed left to right, as in
+        # `adaptive_weight`: numpy's vectorized pow may differ from the C
+        # library's in the last place, and would make counts depend on it
+        rng = np.random.default_rng(5)
+        q = q_of_p(2.0)  # q/2 = 2/3
+        for _ in range(2000):
+            variances = [float(v) for v in np.exp(rng.uniform(-30.0, 30.0, rng.integers(1, 9)))]
+            powers = [v ** (q / 2.0) for v in variances]
+            total = 0.0
+            for x in powers:
+                total += x
+            want = [x / total for x in powers]
+            assert plugin_weights(variances, q).tolist() == want
+            plan = optimal_allocation(VarianceProfile(tuple(variances)), 2.0, 100)
+            assert list(plan.fractions) == want
+
     def test_phase3_ucb_values(self):
         # the optimistic final shares are the plug-in rule applied to UCBs
         np.testing.assert_allclose(plugin_weights((2.0, 8.0), 2.0), (0.2, 0.8))

@@ -139,14 +139,17 @@ def test_context_determinism():
 
 def test_contextual_env_inner_product():
     betas = np.array([[1.0, 2.0]])
-    env = ContextualEnv(betas, ContextSpec(dimension=2), [None], 0, contexts=[[3.0, 1.0]])
+    arm = gaussian_arm(0.0, 1.0)
+    env = ContextualEnv(betas, ContextSpec(dimension=2), [arm], 0, contexts=[[3.0, 1.0]])
     state = env.pull(0, 1)
-    assert state.xty.tolist() == [15.0, 5.0]  # the context times its reward 5
+    noise = np.random.default_rng(np.random.SeedSequence(0).spawn(2)[1])  # arm 0's stream
+    reward = 5.0 + float(sample_reward(arm, noise, 1)[0])  # the inner product 5 plus noise
+    assert state.xty.tolist() == [3.0 * reward, reward]  # the context times its reward
 
 
 def test_contextual_env_rejects_dimension_mismatch():
     with pytest.raises(ConfigurationError):
-        ContextualEnv(np.ones((1, 2)), ContextSpec(dimension=1), [None], 0)
+        ContextualEnv(np.ones((1, 2)), ContextSpec(dimension=1), [gaussian_arm(0.0, 1.0)], 0)
 
 
 def test_contextual_env_noise_moments():
@@ -164,23 +167,28 @@ def test_contextual_env_noise_moments():
 
 def test_contextual_env_linear_rewards():
     betas = np.array([[1.0, -1.0]])
-    env = ContextualEnv(betas, ContextSpec(dimension=2), [None], 0)
+    arm = gaussian_arm(0.0, 1.0)
+    env = ContextualEnv(betas, ContextSpec(dimension=2), [arm], 0)
     state = env.pull(0, 100)
-    np.testing.assert_allclose(state.xty, state.gram @ betas[0])  # X'y = X'X beta
-    assert env.true_variances is None
+    streams = np.random.SeedSequence(0).spawn(2)  # the context stream, then arm 0's
+    contexts = sample_context(ContextSpec(dimension=2), np.random.default_rng(streams[0]), 100)
+    noise = sample_reward(arm, np.random.default_rng(streams[1]), 100)
+    # X'y = X'X beta + X'e
+    np.testing.assert_allclose(state.xty, state.gram @ betas[0] + contexts.T @ noise)
 
 
 def test_contextual_pull_summarizes_its_rows():
     betas = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 1.0]])
     spec = ContextSpec(dimension=3, lambda_min=0.5)
     contexts = np.random.default_rng(1).uniform(-1.0, 1.0, (12, 3))
-    arm = gaussian_arm(0.0, 2.0)
-    env = ContextualEnv(betas, spec, [arm, None], 7, contexts=contexts)
+    arm, other = gaussian_arm(0.0, 2.0), gaussian_arm(0.0, 0.5)
+    env = ContextualEnv(betas, spec, [arm, other], 7, contexts=contexts)
     got = [env.pull(0, 5), env.pull(1, 4), env.pull(0, 3)]
-    noise = np.random.default_rng(np.random.SeedSequence(7).spawn(3)[1])  # arm 0's stream
+    streams = np.random.SeedSequence(7).spawn(3)  # the context stream, then one per arm
+    noise, other_noise = (np.random.default_rng(s) for s in streams[1:])
     rows = [
         (contexts[:5], contexts[:5] @ betas[0] + sample_reward(arm, noise, 5)),
-        (contexts[5:9], contexts[5:9] @ betas[1]),
+        (contexts[5:9], contexts[5:9] @ betas[1] + sample_reward(other, other_noise, 4)),
         (contexts[9:], contexts[9:] @ betas[0] + sample_reward(arm, noise, 3)),
     ]
     for state, (ctx, rewards) in zip(got, rows):

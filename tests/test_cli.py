@@ -2,10 +2,13 @@
 
 import csv
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import varalloc
 from varalloc.cli import main
 from varalloc.harness import CSV_COLUMNS, load_config
 
@@ -264,6 +267,7 @@ BAD_NUMBER_CELLS = {
     "bound_value-inf": ("bound_value", "inf"),
     "p-nan": ("p", "nan"),
     "p-below-one": ("p", "0.5"),
+    "good_event-empty": ("good_event", ""),
 }
 
 
@@ -310,3 +314,19 @@ def test_selftest_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli, "run_selftest", lambda *a, **k: ["synthetic failure"])
     assert main(["selftest", "--configs", "1"]) == 4
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only `simulate --workers` above 1 needs the pool, so no other command
+    # pays for importing it at start-up
+    code = (
+        "import sys, varalloc, varalloc.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    src = Path(varalloc.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True,
+        timeout=120,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 """Bound curves, oracle, slopes, CSV schema, and config handling."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import math
@@ -85,7 +86,7 @@ def _rows(table):
     """Rows carrying the (T, regret) pairs of `table`; the other fields are filler."""
     filler = dict(experiment="x", policy="adaptive", regime="ssg", p=INF, num_arms=2, trial=0,
                   seed=0, objective=1.0, optimal_objective=1.0, bound_name="",
-                  bound_value=None, good_event=None, runtime_ms=0)
+                  bound_value=None, good_event=True, runtime_ms=0)
     return [harness.Row(horizon=int(t), regret=float(r), **filler) for t, r in table]
 
 
@@ -184,7 +185,8 @@ class TestRunExperiment:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # `run_experiment` imports the pool only when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         rows = run_experiment(_tiny_config(tmp_path, output=None, workers=64))
         assert sizes == [3]

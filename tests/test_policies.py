@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import varalloc
+from varalloc import policies
 from varalloc.arms import ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm
 from varalloc.concentration import delta_schedule
 from varalloc.errors import ConfigurationError, ContractViolation
@@ -31,14 +32,10 @@ INF = math.inf
 class ScriptedEnv:
     """Replays fixed per-arm reward sequences in place of a sampling environment."""
 
-    def __init__(self, sequences: list[list[float]], true_variances: list[float] | None = None):
+    def __init__(self, sequences: list[list[float]], true_variances: list[float]):
         self._seqs = [list(map(float, s)) for s in sequences]
         self._pos = [0] * len(sequences)
-        self._vars = true_variances
-
-    @property
-    def true_variances(self):
-        return self._vars
+        self.true_variances = true_variances
 
     def pull(self, k: int, m: int = 1) -> RunningMoments:
         i = self._pos[k]
@@ -46,6 +43,22 @@ class ScriptedEnv:
             raise ContractViolation(f"scripted sequence for arm {k} exhausted")
         self._pos[k] = i + m
         return RunningMoments.of(self._seqs[k][i : i + m])
+
+
+class PooledVarianceEnv:
+    """Pulls whose pooled sample variance is exactly each arm's true variance:
+    every mean is 0, an arm's first pull of m rounds has m2 = v * (m - 1) and
+    each later one m2 = v * m."""
+
+    def __init__(self, true_variances: list[float]):
+        self.true_variances = true_variances
+        self._pulled = [False] * len(true_variances)
+
+    def pull(self, k: int, m: int = 1) -> RunningMoments:
+        v = self.true_variances[k]
+        m2 = v * m if self._pulled[k] else v * (m - 1)
+        self._pulled[k] = True
+        return RunningMoments(m, 0.0, m2)
 
 
 def _gaussian_cfg(variances, horizon, p=INF, regime=Regime.SSG, proxy=None, seed=0, **kw):
@@ -111,14 +124,23 @@ class TestNonAdaptive:
 
 
 class TestAdaptive:
-    def test_pinned_intervals_recover_optimum(self):
+    def test_pinned_intervals_recover_optimum(self, monkeypatch):
+        # exact variance estimates under intervals pinned to them: every
+        # interval is the true variance, so the shares are the optimal ones
         truth = (1.0, 4.0)
         cfg = _gaussian_cfg(
             truth, 200, proxy=4.0, lower_bound=1.0, seed=5
         )
-        pin = lambda k, n, s2: (truth[k], truth[k])
-        trace = run_adaptive(cfg, ci_override=pin)
+        # the threshold memo would keep what the pinned interval gives
+        policies._first_finite_ucb.cache_clear()
+        monkeypatch.setattr(policies, "interval", lambda regime, n, delta, s2: (s2, s2))
+        try:
+            trace = run_adaptive(cfg, PooledVarianceEnv(list(truth)))
+        finally:
+            policies._first_finite_ucb.cache_clear()
         assert trace.counts == (40, 160)
+        assert (trace.phase1_ends, trace.stopping_times) == ((40, 40), (40, 160))
+        assert trace.good_event_held
 
     def test_budget_identity_random_configs(self):
         rng = np.random.default_rng(0)
@@ -199,10 +221,11 @@ class TestContextual:
         with pytest.raises(ConfigurationError, match="proxy"):
             replace(cfg, regime=NoiseRegime(Regime.SSG))
 
-    def test_noise_free_recovers_coefficients(self):
+    def test_noise_free_recovers_coefficients(self, monkeypatch):
         cfg = _contextual_cfg(600, seed=4)
+        monkeypatch.setattr(varalloc.arms, "sample_reward", lambda arm, rng, size: np.zeros(size))
         env = ContextualEnv(
-            np.asarray(cfg.betas), cfg.context_spec, [None] * 3, seed=9
+            np.asarray(cfg.betas), cfg.context_spec, cfg.arms, seed=9
         )
         trace = run_contextual(cfg, env)
         for est, true in zip(trace.estimates, cfg.betas):
@@ -429,18 +452,15 @@ class TestPhase1Threshold:
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     @pytest.mark.parametrize("horizon", [10**3, 10**4, 10**6, 10**9])
     def test_matches_linear_scan_of_evaluate(self, regime, p, horizon):
-        engine = _CIEngine(NoiseRegime(regime), delta_schedule(True, p, horizon), None)
+        engine = _CIEngine(NoiseRegime(regime), delta_schedule(True, p, horizon), [1.0])
         n = 2
         while not engine.evaluate(0, n, 1.0)[2]:
             n += 1
         assert engine.phase1_threshold() == n
 
-    def test_unknown_under_gsg_or_override(self):
+    def test_unknown_under_gsg(self):
         delta = delta_schedule(True, INF, 10**4)
-        assert _CIEngine(NoiseRegime(Regime.GSG, 2.0), delta, None).phase1_threshold() is None
-        pin = lambda k, n, s2: (1.0, 1.0)
-        engine = _CIEngine(NoiseRegime(Regime.SSG), delta, None, override=pin)
-        assert engine.phase1_threshold() is None
+        assert _CIEngine(NoiseRegime(Regime.GSG, 2.0), delta, [1.0]).phase1_threshold() is None
 
     @pytest.mark.parametrize("regime", [Regime.SSG, Regime.GAUSSIAN])
     @pytest.mark.parametrize("p, horizon", [(INF, 10**4), (1.0, 10**4), (INF, 10**6)])
@@ -449,7 +469,7 @@ class TestPhase1Threshold:
         cfg = _gaussian_cfg(variances, horizon, p=p, regime=regime, seed=3)
         trace = run_adaptive(cfg)
         assert not trace.truncated
-        n_star = _CIEngine(cfg.regime, delta_schedule(True, p, horizon), None)
+        n_star = _CIEngine(cfg.regime, delta_schedule(True, p, horizon), list(variances))
         start = phase1_length(regime, None, horizon, len(variances))
         assert trace.phase1_ends == (max(start, n_star.phase1_threshold()),) * len(variances)
 
