@@ -51,6 +51,19 @@ def _variances(text: str) -> tuple[float, ...]:
         ) from None
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 # simulate's options, each overriding the ExperimentConfig field of its name
 _OVERRIDES = {
     "trials": dict(type=int), "seed": dict(type=int), "horizons": dict(type=int, nargs="+"),
@@ -174,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     slopes.set_defaults(func=_cmd_slopes)
 
     selftest = sub.add_parser("selftest", help="structural invariant battery")
-    selftest.add_argument("--configs", type=int, default=1000)
-    selftest.add_argument("--seed", type=int, default=2024)
+    selftest.add_argument("--configs", type=_int_at_least(1), default=1000)
+    selftest.add_argument("--seed", type=_int_at_least(0), default=2024)
     selftest.add_argument("--verbose", action="store_true")
     selftest.set_defaults(func=_cmd_selftest)
     return parser

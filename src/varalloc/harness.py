@@ -73,17 +73,34 @@ _CSV_SCHEMA = (
 )
 CSV_COLUMNS = tuple(column for column, _, _ in _CSV_SCHEMA)
 
-BOUND_NAMES = (
-    "t1_inf",
-    "t2_finite",
-    "t3_inf",
-    "t3_finite",
-    "t5_contextual",
-    "t6_ssg_nonadaptive",
-    "t7_ssg_adaptive_inf",
-    "t7_ssg_adaptive_finite",
-    "t8_contextual_ssg",
-)
+# One row per theorem: name -> (the p it covers: "inf", "finite" or "any"; the
+# inputs it needs beyond the variances; its leading constant).  A constant takes
+# the terms it reads by name from make_bound_curve; the rate follows from p alone.
+_BOUNDS = {
+    "t1_inf": ("inf", ("lower_bound", "proxy"), lambda k, s_2, share, lower_bound, proxy, **_:
+        4.0 * math.sqrt(2.0) * proxy * (share() ** -0.5 * (k + s_2 / lower_bound - 2.0))),
+    "t2_finite": ("finite", ("lower_bound", "proxy"), lambda p, q, s, s_q, share, proxy, **_:
+        24.0 * proxy**2 * (p**2 * s_q ** (1.0 / p) * s(q - 4.0) / (share() * (p + 1.0)))),
+    "t3_inf": ("inf", ("proxy",), lambda s, s_2, sd_min, proxy, **_:
+        8.0 * proxy * (math.sqrt(s_2) * (s(-1.0) + s_2 / sd_min**3 - 2.0 / sd_min))),
+    "t3_finite": ("finite", ("proxy",), lambda p, q, s, s_q, proxy, **_:
+        40.0 * proxy**2 * (p**2 * s_q ** (2.0 / q) * s(-4.0) / (p + 1.0))),
+    "t5_contextual": ("finite", ("proxy", "dim", "lambda_min_c"),
+        lambda p, q, s, s_q, proxy, dim, lambda_min_c, **_:
+        80.0 * dim * proxy / lambda_min_c * (p**2 * s_q ** (2.0 / q) * s(-4.0) / (p + 1.0))),
+    "t6_ssg_nonadaptive": ("any", ("lower_bound", "proxy"),
+        lambda p, q, s_q, s_2, var_min, share, **_:
+        4.0 * share() ** -0.5 * (s_2 - var_min) if math.isinf(p)
+        else 3.0 * p**2 * s_q ** (2.0 / q) / (share() * (p + 1.0))),
+    "t7_ssg_adaptive_inf": ("inf", (), lambda s_1, s_2, var_min, sd_min, **_:
+        2.0 * math.sqrt(2.0)
+        * (math.sqrt(s_2) * (s_2 - 2.0 * var_min) / sd_min + math.sqrt(s_2) * s_1)),
+    "t7_ssg_adaptive_finite": ("finite", (), lambda k, p, q, s_q, **_:
+        5.0 * k * p**2 * s_q ** (2.0 / q) / (p + 1.0)),
+    "t8_contextual_ssg": ("finite", ("dim", "lambda_min_c"), lambda k, s_1, dim, lambda_min_c, **_:
+        5.0 * dim * k * s_1**2 / lambda_min_c),
+}
+BOUND_NAMES = tuple(_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -111,63 +128,29 @@ def make_bound_curve(
     dim: int | None = None,
     lambda_min_c: float | None = None,
 ) -> BoundCurve:
-    """Assemble the leading constant and rate for one theorem's bound."""
+    """One theorem's bound: its row's leading constant, at the rate p sets:
+    T^-3/2 (log T)^1/2 at p = inf, T^-2 log T at finite p."""
     validate_norm_order(p)
     name = theorem.lower()
-    if name not in BOUND_NAMES:
+    if name not in _BOUNDS:
         raise ConfigurationError(f"unknown bound curve {theorem!r}")
-    if name.endswith(("_inf", "_finite")) and name.endswith("_inf") != math.isinf(p):
-        raise ConfigurationError(f"bound {name} does not apply at p = {p}")
-    if name.startswith(("t5", "t8")) and (dim is None or lambda_min_c is None):
-        raise ConfigurationError(f"{name} needs dim and lambda_min_c")
-    if name.startswith(("t3", "t5")) and profile.proxy is None:
-        raise ConfigurationError(f"{name} needs the variance proxy")
+    covers, needs, constant = _BOUNDS[name]
+    if covers != "any" and (covers == "inf") != math.isinf(p):
+        raise ConfigurationError(f"bound {name} covers p = {covers} only, not p = {p}")
     q = q_of_p(p)
-    s_q = profile.power_sum(q)
-    s_2 = profile.power_sum(2.0)
-    s_1 = profile.power_sum(1.0)
+    s = profile.power_sum
     var_min = min(profile.variances)
-    sd_min = math.sqrt(var_min)
-    proxy = profile.proxy
-    if name.startswith(("t1", "t2", "t6")):
-        if profile.lower_bound is None or proxy is None:
-            raise ConfigurationError(f"{name} needs both lower_bound and proxy")
-        share = initial_share(profile.lower_bound, proxy, num_arms, q)
-
-    if name == "t1_inf":
-        factor = share**-0.5 * (num_arms + s_2 / profile.lower_bound - 2.0)
-        const = 4.0 * math.sqrt(2.0) * proxy * factor
-        return BoundCurve(name, const, -1.5, 0.5)
-    if name == "t2_finite":
-        factor = p**2 * s_q ** (1.0 / p) * profile.power_sum(q - 4.0) / (share * (p + 1.0))
-        return BoundCurve(name, 24.0 * proxy**2 * factor, -2.0, 1.0)
-    if name == "t3_inf":
-        factor = math.sqrt(s_2) * (
-            profile.power_sum(-1.0) + s_2 / sd_min**3 - 2.0 / sd_min
-        )
-        return BoundCurve(name, 8.0 * proxy * factor, -1.5, 0.5)
-    if name == "t3_finite":
-        factor = p**2 * s_q ** (2.0 / q) * profile.power_sum(-4.0) / (p + 1.0)
-        return BoundCurve(name, 40.0 * proxy**2 * factor, -2.0, 1.0)
-    if name == "t5_contextual":
-        factor = p**2 * s_q ** (2.0 / q) * profile.power_sum(-4.0) / (p + 1.0)
-        return BoundCurve(name, 80.0 * dim * proxy / lambda_min_c * factor, -2.0, 1.0)
-    if name == "t6_ssg_nonadaptive":
-        if math.isinf(p):
-            return BoundCurve(name, 4.0 * share**-0.5 * (s_2 - var_min), -1.5, 0.5)
-        return BoundCurve(
-            name, 3.0 * p**2 * s_q ** (2.0 / q) / (share * (p + 1.0)), -2.0, 1.0
-        )
-    if name == "t7_ssg_adaptive_inf":
-        const = 2.0 * math.sqrt(2.0) * (
-            math.sqrt(s_2) * (s_2 - 2.0 * var_min) / sd_min + math.sqrt(s_2) * s_1
-        )
-        return BoundCurve(name, const, -1.5, 0.5)
-    if name == "t7_ssg_adaptive_finite":
-        const = 5.0 * num_arms * p**2 * s_q ** (2.0 / q) / (p + 1.0)
-        return BoundCurve(name, const, -2.0, 1.0)
-    # t8_contextual_ssg
-    return BoundCurve(name, 5.0 * dim * num_arms * s_1**2 / lambda_min_c, -2.0, 1.0)
+    lower_bound, proxy = profile.lower_bound, profile.proxy
+    terms = dict(
+        k=num_arms, p=p, q=q, s=s, s_q=s(q), s_1=s(1.0), s_2=s(2.0), var_min=var_min,
+        sd_min=math.sqrt(var_min), lower_bound=lower_bound, proxy=proxy, dim=dim,
+        lambda_min_c=lambda_min_c, share=lambda: initial_share(lower_bound, proxy, num_arms, q),
+    )
+    missing = [key for key in needs if terms[key] is None]
+    if missing:
+        raise ConfigurationError(f"{name} needs {', '.join(missing)}")
+    rate = (-1.5, 0.5) if math.isinf(p) else (-2.0, 1.0)
+    return BoundCurve(name, constant(**terms), *rate)
 
 
 def bound_value(

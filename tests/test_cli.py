@@ -102,6 +102,18 @@ def test_malformed_oracle_input_exit_code(argv, capsys):
     assert "error: argument" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--seed", "-1", "--configs", "1"], ["--configs", "0"], ["--configs", "-1"]],
+    ids=["seed-negative", "configs-zero", "configs-negative"],
+)
+def test_selftest_argument_out_of_range_exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", *argv])
+    assert exc.value.code == 2
+    assert "must be an integer >=" in capsys.readouterr().err
+
+
 def _ini(
     policy="adaptive", regime="ssg", means="0 0", families="gaussian", knowledge="", extra="",
     variances="1 2",

@@ -30,6 +30,11 @@ from varalloc.errors import ConfigurationError, InstanceTooLargeError
 INF = math.inf
 
 
+def _covered_ps(name):
+    """The p values the bound table's row for name covers, one per rate."""
+    return {"inf": (INF,), "finite": (1.0,), "any": (INF, 1.0)}[harness._BOUNDS[name][0]]
+
+
 class TestBoundCurves:
     def test_frozen_value_nonadaptive_inf(self):
         profile = VarianceProfile((1.0, 1.0), lower_bound=1.0, proxy=1.0)
@@ -51,18 +56,27 @@ class TestBoundCurves:
     def test_every_curve_decreasing_in_horizon(self):
         profile = VarianceProfile((1.0, 2.0, 4.0), lower_bound=1.0, proxy=4.0)
         for name in BOUND_NAMES:
-            p = INF if name.endswith("_inf") else 1.0
-            values = [
-                bound_value(name, profile, 3, t, p, dim=4, lambda_min_c=1.0)
-                for t in (8, 16, 64, 256, 2048, 10**5)
-            ]
-            assert all(a > b for a, b in zip(values, values[1:])), name
+            for p in _covered_ps(name):
+                values = [
+                    bound_value(name, profile, 3, t, p, dim=4, lambda_min_c=1.0)
+                    for t in (8, 16, 64, 256, 2048, 10**5)
+                ]
+                assert all(a > b for a, b in zip(values, values[1:])), (name, p)
+
+    @pytest.mark.parametrize("name", ["t5_contextual", "t8_contextual_ssg"])
+    def test_contextual_bounds_reject_p_inf(self, name):
+        # neither contextual theorem covers p = inf, where p^2/(p+1) is inf/inf = nan
+        profile = VarianceProfile((1.0, 2.0), proxy=2.0)
+        with pytest.raises(ConfigurationError, match="covers p = finite only"):
+            bound_value(name, profile, 2, 1000, INF, dim=4, lambda_min_c=1.0)
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ConfigurationError):
             bound_value("t1_inf", VarianceProfile((1.0, 2.0)), 2, 100, INF)
         with pytest.raises(ConfigurationError):
             bound_value("t5_contextual", VarianceProfile((1.0,), proxy=1.0), 1, 100, 1.0)
+        with pytest.raises(ConfigurationError, match="needs proxy, dim, lambda_min_c$"):
+            bound_value("t5_contextual", VarianceProfile((1.0,)), 1, 100, 1.0)
         with pytest.raises(ConfigurationError):
             bound_value("nope", VarianceProfile((1.0,)), 1, 100, 1.0)
         with pytest.raises(ConfigurationError):
@@ -293,3 +307,43 @@ def test_adaptive_ssg_inf_slope_on_config_grid():
     shipped config's own horizons, in criterion 4's band."""
     cfg = dataclasses.replace(load_config(str(ADAPTIVE_SSG)), trials=40, seed=0, output=None)
     assert -1.8 < slope_estimate(run_experiment(cfg)) < -1.2
+
+
+_ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+# Run settings of each canonical bound row at each p it covers: (bound, p, policy,
+# regime, trials).  Criterion 6 checks the contextual rows' rate.
+_RATE_RUNS = [
+    pytest.param("t1_inf", INF, "nonadaptive", "gsg", 100),
+    pytest.param("t2_finite", 1.0, "nonadaptive", "gsg", 100),
+    pytest.param("t3_inf", INF, "adaptive", "gsg", 24, marks=_ITEM_1),
+    pytest.param("t3_finite", 1.0, "adaptive", "gsg", 24),
+    pytest.param("t6_ssg_nonadaptive", INF, "nonadaptive", "ssg", 100),
+    pytest.param("t6_ssg_nonadaptive", 1.0, "nonadaptive", "ssg", 100),
+    pytest.param("t7_ssg_adaptive_inf", INF, "adaptive", "ssg", 100, marks=_ITEM_1),
+    pytest.param("t7_ssg_adaptive_finite", 1.0, "adaptive", "ssg", 100),
+]
+
+
+def test_rate_matrix_covers_every_canonical_bound():
+    canonical = [name for name in BOUND_NAMES if "dim" not in harness._BOUNDS[name][1]]
+    expected = {(name, p) for name in canonical for p in _covered_ps(name)}
+    assert sorted((run.values[0], run.values[1]) for run in _RATE_RUNS) == sorted(expected)
+
+
+@pytest.mark.parametrize("name, p, policy, regime, trials", _RATE_RUNS)
+def test_rate_matrix(name, p, policy, regime, trials):
+    """Each canonical bound's policy reaches the bound's T exponent, within 20%,
+    from T = 1e5 to 1e8 on Gaussian arms."""
+    cfg = ExperimentConfig(
+        name=name, policy=policy, regime=regime, p=p, trials=trials, seed=1,
+        horizons=(10**5, 10**6, 10**7, 10**8), variances=(1.0, 1.5, 2.0, 2.5),
+        means=(0.0,) * 4, lower_bound=1.0, proxy=2.5,
+        knows_lower_bound=policy == "nonadaptive", bound=name,
+    )
+    rows = run_experiment(cfg)
+    for agg in summarize(rows):
+        bound = next(row.bound_value for row in rows if row.horizon == agg["T"])
+        print(f"{name} p={p} T={agg['T']:.0e}: regret/bound {agg['mean_regret'] / bound:.3g}")
+    profile = VarianceProfile(cfg.variances, cfg.lower_bound, cfg.proxy)
+    t_exponent = make_bound_curve(name, profile, 4, p).t_exponent
+    assert 1.2 * t_exponent < slope_estimate(rows) < 0.8 * t_exponent

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import varalloc
+from varalloc.harness import BOUND_NAMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +20,8 @@ def test_readme_python_blocks_run(capsys):
 def test_readme_names_every_export():
     text = README.read_text(encoding="utf-8")
     assert [name for name in varalloc.__all__ if f"`{name}`" not in text] == []
+
+
+def test_readme_lists_every_bound():
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in BOUND_NAMES if f"`{name}`" not in text] == []
