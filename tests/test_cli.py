@@ -83,6 +83,14 @@ def test_selftest_small_battery(capsys):
     assert digests[0] == digests[1]
 
 
+def test_selftest_trace_digest_pinned(capsys):
+    # the digest hashes every trace of the battery, so a change that moves no
+    # decision of any policy keeps it; a change to a decision re-pins it
+    assert main(["selftest", "--configs", "200", "--seed", "2024"]) == 0
+    digest = re.search(r"trace digest ([0-9a-f]{64})$", capsys.readouterr().out.strip()).group(1)
+    assert digest == "0cf3fb9ce116fcedf15ffb1dc6d9a9f5f3b4d6e4917f3dc86ad0f1f9e5132bd1"
+
+
 def test_configuration_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nname=x\npolicy=unknown\nhorizons=100\n")
