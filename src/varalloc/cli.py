@@ -114,8 +114,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     variances, p = args.profile, args.p
+    best = oracle_best_allocation(variances, p, args.T)  # checks the size limit first
     plan = optimal_allocation(VarianceProfile(variances), p, args.T)
-    best = oracle_best_allocation(variances, p, args.T)
     value_best = objective_rp(best, variances, p)
     value_plan = objective_rp(plan.counts, variances, p)
     print(f"exhaustive optimum : {best}  objective {value_best:.6g}")

@@ -44,7 +44,7 @@ from .arms import (
     symmetric_beta_arm,
 )
 from .errors import ConfigurationError, InstanceTooLargeError
-from .policies import PolicyConfig, run_adaptive, run_contextual, run_nonadaptive
+from .policies import _MAX_HORIZON, PolicyConfig, run_adaptive, run_contextual, run_nonadaptive
 
 
 def _finite(text: str) -> float:
@@ -299,6 +299,8 @@ class ExperimentConfig:
                 raise ConfigurationError("symmetric_beta arms need beta_shapes")
             _check_values(self.means, count, "means")
             _check_values(self.beta_shapes, count, "beta_shapes", may_draw=False)
+        if horizons[-1] > _MAX_HORIZON:  # the smallest is checked with the templates
+            raise ConfigurationError(f"horizons must not exceed 2**53, got {horizons[-1]}")
         templates = [_policy_config(self, horizons[0], _RangeEnd(high)) for high in (False, True)]
         for arm, listed in zip(templates[0].arms, self.variances or ()):
             try:  # the listed variance must be the one the arm's family has

@@ -60,6 +60,8 @@ from .estimation import RidgeState, RunningMoments
 # Upper bound on elimination sweeps; the share iteration converges in far
 # fewer, this only guards against pathological stalls.
 _SWEEP_CAP = 512
+# The objective casts counts to float, which holds every integer up to 2**53.
+_MAX_HORIZON = 2**53
 # Entries of the phase-1 threshold memo, one per (regime, delta): a sweep uses
 # one delta per (horizon, p, policy).
 _THRESHOLD_CACHE_SIZE = 256
@@ -97,6 +99,10 @@ class PolicyConfig:
         if self.horizon < first * self.num_arms:
             raise ConfigurationError(
                 f"horizon {self.horizon} too small for {self.num_arms} arms (need >= {first}K)"
+            )
+        if self.horizon > _MAX_HORIZON:
+            raise ConfigurationError(
+                f"horizon {self.horizon} exceeds 2**53, past which float counts are inexact"
             )
         if self.lower_bound is not None and not 0.0 < self.lower_bound < math.inf:
             raise ConfigurationError(

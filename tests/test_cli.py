@@ -124,11 +124,11 @@ def test_selftest_argument_out_of_range_exit_code(argv, capsys):
 
 def _ini(
     policy="adaptive", regime="ssg", means="0 0", families="gaussian", knowledge="", extra="",
-    variances="1 2",
+    variances="1 2", horizons="400",
 ):
     p = "1" if policy == "contextual" else "inf"
     return (
-        f"[experiment]\nname = x\npolicy = {policy}\nhorizons = 400\ntrials = 1\n"
+        f"[experiment]\nname = x\npolicy = {policy}\nhorizons = {horizons}\ntrials = 1\n"
         f"p = {p}\nregime = {regime}\n[arms]\nfamilies = {families}\nvariances = {variances}\n"
         f"means = {means}\n"
         f"[knowledge]\n{knowledge}\n{extra}\n"
@@ -180,6 +180,7 @@ BAD_VALUE_INIS = {
         _ini(policy="contextual", extra=CONTEXTUAL + "noise_variances = uniform 0 4"),
     ),
     "variances-zero": ("variances", _ini(variances="0 1")),
+    "horizons-past-2**53": ("horizons", _ini(horizons=f"400 {2**53 + 1}")),
     "default-section": ("DEFAULT", "[DEFAULT]\nfoo = 1\n" + _ini()),
 }
 
@@ -204,6 +205,28 @@ def test_bounds_rejects_bad_config_value(field, text, tmp_path, capsys):
     path.write_text(text)
     assert main(["bounds", str(path), "--bound", "t7_ssg_adaptive_inf"]) == 2
     assert _names(capsys.readouterr().err, field)
+
+
+def test_simulate_rejects_horizon_past_2_53_before_any_run(monkeypatch, capsys):
+    import varalloc.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a run started"))
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "gaussian_k4_adaptive_ssg.ini")
+    assert main(["simulate", config, "--horizons", "2000", str(10**30)]) == 2
+    err = capsys.readouterr().err
+    assert _names(err, "horizons") and "Traceback" not in err
+
+
+def test_oracle_checks_its_limit_first():
+    # the exhaustive search is limited to T <= 60; past it the command exits
+    # before it computes anything, at any T
+    src = Path(varalloc.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "varalloc.cli", "oracle", "1,4", "--T", str(10**30)],
+        cwd=src, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "T <= 60" in done.stderr and "Traceback" not in done.stderr
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))

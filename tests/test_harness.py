@@ -282,6 +282,18 @@ batch_growth = 2.5
         keys = {key for section in harness._CONFIG_KEYS.values() for key in section}
         assert keys <= {field.name for field in dataclasses.fields(ExperimentConfig)}
 
+    @pytest.mark.parametrize(
+        "config, horizon",
+        [("gaussian_k4_adaptive_ssg", 10**30), ("contextual_k5_ssg", 10**20),
+         ("gaussian_k4_gsg", 2**53 + 1)],
+    )
+    def test_every_horizon_bounded(self, config, horizon):
+        # each horizon is checked, not only the smallest
+        cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.ini"))
+        dataclasses.replace(cfg, horizons=(cfg.horizons[0], 2**53))
+        with pytest.raises(ConfigurationError, match=r"\bhorizons\b"):
+            dataclasses.replace(cfg, horizons=(cfg.horizons[0], horizon))
+
     def test_drawn_values_checked_at_both_ends(self):
         # a trial draws each noise variance from its range; construction checks
         # both ends, so no trial can draw a variance a check would reject

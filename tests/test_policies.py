@@ -221,6 +221,14 @@ class TestContextual:
         with pytest.raises(ConfigurationError, match="proxy"):
             replace(cfg, regime=NoiseRegime(Regime.SSG))
 
+
+def test_horizon_past_2_53_rejected():
+    # the objective casts counts to float, which holds every integer up to 2**53
+    cfg = _gaussian_cfg((1.0, 2.0), 2**53)
+    for horizon in (2**53 + 1, 10**30):
+        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
+            replace(cfg, horizon=horizon)
+
     def test_noise_free_recovers_coefficients(self, monkeypatch):
         cfg = _contextual_cfg(600, seed=4)
         monkeypatch.setattr(varalloc.arms, "sample_reward", lambda arm, rng, size: np.zeros(size))
