@@ -1,8 +1,9 @@
 """Sequential allocation policies over sampled data.
 
-Three deterministic state machines run one skeleton, `_run_policy`: estimate
-each group's variance, convert estimates into allocation shares, and exhaust
-the budget so that total pulls equal the horizon exactly.
+Three deterministic state machines run one skeleton, `_run_policy`, over one
+run object, `_Run`: estimate each group's variance, convert estimates into
+allocation shares, and exhaust the budget so that total pulls equal the
+horizon exactly.
 
 * run_nonadaptive: the skeleton with a fixed-length first phase sized from a
   known variance floor, no second phase and plug-in final shares.
@@ -12,17 +13,17 @@ the budget so that total pulls equal the horizon exactly.
   estimates and residual-based variance estimates; the arm for each round
   is committed before that round's context is revealed.
 
-The policies differ only in each arm's statistics object, `RunningMoments`
-or `RidgeState`: `_Run` folds the environment's summary of each pull segment
-into it and reads `variance()` and `point()` back, so a canonical run over
-Gaussian or Rademacher arms costs O(K * pull segments), not O(T).
+`_Run` owns what a run changes: the budget, the pull order, the good event
+and each arm's count and statistics, `RunningMoments` or `RidgeState`, into
+which it folds the environment's summary of each pull segment; a canonical
+run over Gaussian or Rademacher arms costs O(K * pull segments), not O(T).
+`_Run.interval(k)` is arm k's (lcb, ucb) from `concentration.interval` at
+its own count and `variance()`, with ucb = inf while it is one-sided.
 
-Every variance interval is an (lcb, ucb) pair from `concentration.interval`,
-with ucb = inf while the interval is one-sided; an arm leaves the first
-phase once lcb > 0 and ucb < inf.  Under SSG or Gaussian noise the first n
-with a finite ucb does not depend on the data; it is found once per
-(regime, delta) and memoized across runs, and failing arms top up to it in
-one pull each.
+`_phase1_ok`, lcb > 0 and ucb < inf, is the one rule by which an arm leaves
+the first phase.  Under SSG or Gaussian noise any positive estimate passes it
+from `_phase1_threshold` on, the first n that passes at unit variance; that n
+is memoized per (regime, delta), and failing arms top up to it in one pull each.
 """
 
 from __future__ import annotations
@@ -101,9 +102,7 @@ class PolicyConfig:
                 f"horizon {self.horizon} too small for {self.num_arms} arms (need >= {first}K)"
             )
         if self.horizon > _MAX_HORIZON:
-            raise ConfigurationError(
-                f"horizon {self.horizon} exceeds 2**53, past which float counts are inexact"
-            )
+            raise ConfigurationError(f"horizon {self.horizon} exceeds 2**53")
         if self.lower_bound is not None and not 0.0 < self.lower_bound < math.inf:
             raise ConfigurationError(
                 f"lower_bound must be positive and finite, got {self.lower_bound}"
@@ -160,66 +159,51 @@ def phase1_length(regime: Regime, proxy_or_unused: float, horizon: int, num_arms
 
 def phase2_schedule(current_n: int, target: float, batch_growth: float) -> int:
     """Next sample size at which the stopping condition is re-checked."""
-    return min(
-        math.ceil(target), max(current_n + 1, math.ceil(current_n * batch_growth))
-    )
+    return min(math.ceil(target), max(current_n + 1, math.ceil(current_n * batch_growth)))
 
 
-class _CIEngine:
-    """Each arm's variance interval, `concentration.interval` for the run's
-    regime, plus the good event: whether every interval so far held the
-    arm's true variance in `truth`.  An arm passes the first phase once its
-    interval is two-sided: lcb > 0 and ucb < inf."""
-
-    def __init__(self, regime: NoiseRegime, delta: float, truth):
-        self.regime = regime
-        self.delta = delta
-        self.truth = truth
-        self.good = True
-
-    def evaluate(self, k: int, n: int, sigma_sq_hat: float):
-        """Returns (lcb, ucb, phase1_ok) and clears the good event when the
-        true variance falls outside [lcb, ucb]."""
-        lcb, ucb = interval(self.regime, n, self.delta, sigma_sq_hat)
-        if not lcb <= self.truth[k] <= ucb:
-            self.good = False
-        return lcb, ucb, lcb > 0.0 and ucb < math.inf
-
-    def phase1_threshold(self) -> int | None:
-        """First n at which `evaluate` can pass, when that does not depend on
-        the data (SSG or Gaussian radii): the first n with a finite ucb, a
-        pure function of (regime, delta) that is computed once and memoized
-        across runs.  None under GSG."""
-        if self.regime.regime == Regime.GSG:
-            return None
-        return _first_finite_ucb(self.regime.regime, self.delta)
+def _phase1_ok(lcb: float, ucb: float) -> bool:
+    """The first phase's pass rule: the arm's interval is two-sided."""
+    return lcb > 0.0 and ucb < math.inf
 
 
 @functools.lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
-def _first_finite_ucb(regime: Regime, delta: float) -> int:
-    """First n at which the SSG or Gaussian interval has a finite ucb, found by
-    doubling then bisection; the proxy plays no part in those intervals."""
+def _phase1_threshold(regime: Regime, delta: float) -> int | None:
+    """First n whose interval passes `_phase1_ok` at unit variance, found by
+    doubling then bisection.  SSG and Gaussian intervals scale with the
+    variance estimate, so any positive estimate passes from that n on; under
+    GSG the answer depends on the data, and this returns None."""
+    if regime == Regime.GSG:
+        return None
     noise = NoiseRegime(regime)
-    usable = lambda n: interval(noise, n, delta, 1.0)[1] < math.inf
+    passes = lambda n: _phase1_ok(*interval(noise, n, delta, 1.0))
     hi = 2
-    while not usable(hi):
+    while not passes(hi):
         hi *= 2
-    lo = hi // 2 + 1  # hi // 2 is not usable, unless hi == 2
-    return lo + bisect.bisect_left(range(lo, hi + 1), True, key=usable)
+    lo = hi // 2 + 1  # hi // 2 does not pass, unless hi == 2
+    return lo + bisect.bisect_left(range(lo, hi + 1), True, key=passes)
 
 
 class _Run:
-    """Budget bookkeeping over per-arm statistics.  `seed_pulls` is what every
-    arm gets before the first phase, `objective_scale` the objective's factor."""
+    """One policy run's state.  `good` is the good event, whether every interval
+    so far held its arm's true variance; `seed_pulls` is what every arm gets
+    before the first phase, `objective_scale` the objective's factor."""
 
-    def __init__(self, env, stats: list, horizon: int, seed_pulls=0, objective_scale=1.0):
+    def __init__(self, cfg: PolicyConfig, env, stats: list, adaptive: bool,
+                 seed_pulls=0, objective_scale=1.0):
+        self.cfg = cfg
         self.env = env
         self.stats = stats
-        self.budget = horizon
-        self.pulls = [0] * len(stats)
-        self.order: list[list[int]] = []
+        self.adaptive = adaptive
         self.seed_pulls = seed_pulls
         self.objective_scale = objective_scale
+        self.budget = cfg.horizon
+        self.pulls = [0] * len(stats)
+        self.order: list[list[int]] = []
+        self.q = q_of_p(cfg.p)
+        self.delta = delta_schedule(adaptive, cfg.p, cfg.horizon)
+        self.truth = env.true_variances
+        self.good = True
 
     def draw(self, k: int, m: int) -> int:
         m = min(m, self.budget)
@@ -234,47 +218,23 @@ class _Run:
             self.order.append([k, m])
         return m
 
-    def sigma_hat(self, k: int) -> float:
-        return self.stats[k].variance()
+    def interval(self, k: int) -> tuple[float, float]:
+        """Arm k's (lcb, ucb) at its own count and variance estimate; clears
+        the good event when the true variance falls outside it."""
+        lcb, ucb = interval(self.cfg.regime, self.pulls[k], self.delta, self.stats[k].variance())
+        if not lcb <= self.truth[k] <= ucb:
+            self.good = False
+        return lcb, ucb
 
 
-def _fill_by_priority(run, counts, priority) -> bool:
-    """Pull each arm up to its target, highest priority first, within budget.
-
-    Returns True when some target was already exceeded (the freed rounds stay
-    with the greedy order).
-    """
-    clamped = any(run.pulls[k] > counts[k] for k in range(len(counts)))
-    order = sorted(range(len(counts)), key=lambda k: (-priority[k], k))
-    for k in order:
-        extra = counts[k] - run.pulls[k]
-        if extra > 0:
-            run.draw(k, extra)
-    return clamped
-
-
-def _phase3_weights(cfg, run, ci_engine, q, use_ucb: bool):
-    sigma_hats = [run.sigma_hat(k) for k in range(cfg.num_arms)]
-    if use_ucb:
-        ucbs = [ci_engine.evaluate(k, run.pulls[k], sigma_hats[k])[1] for k in range(cfg.num_arms)]
-        # intervals can still be one-sided if the run starved in its first
-        # phase; fall back to the plug-in shares then
-        if all(math.isfinite(u) and u > 0 for u in ucbs):
-            return plugin_weights(ucbs, q), sigma_hats
-    try:
-        weights = plugin_weights(sigma_hats, q)
-    except DegenerateInputError:
-        weights = np.full(cfg.num_arms, 1.0 / cfg.num_arms)
-    return weights, sigma_hats
-
-
-def _phase1(cfg, run, ci_engine, q, adaptive: bool) -> tuple[list[int], bool]:
+def _phase1(run: _Run) -> tuple[list[int], bool]:
     """Initial pulls; the adaptive policy then tops arms up until every
     phase-1 check passes.  Returns the counts and whether the budget ran out
     before every arm passed."""
+    cfg = run.cfg
     k_arms, horizon = cfg.num_arms, cfg.horizon
     if cfg.lower_bound is not None:
-        start = tau_nonadaptive(cfg.lower_bound, cfg.regime.sigma_sq_proxy, k_arms, horizon, q)
+        start = tau_nonadaptive(cfg.lower_bound, cfg.regime.sigma_sq_proxy, k_arms, horizon, run.q)
     else:
         start = phase1_length(cfg.regime.regime, cfg.regime.sigma_sq_proxy, horizon, k_arms)
     seed = min(run.seed_pulls, horizon // k_arms)
@@ -283,15 +243,14 @@ def _phase1(cfg, run, ci_engine, q, adaptive: bool) -> tuple[list[int], bool]:
         run.draw(k, seed)
     for k in range(k_arms):
         run.draw(k, start - run.pulls[k])
-
-    ok = lambda k: ci_engine.evaluate(k, run.pulls[k], run.sigma_hat(k))[2]
+    ok = lambda k: _phase1_ok(*run.interval(k))
     failing = [k for k in range(k_arms) if not ok(k)]
-    if not adaptive:  # fixed length: the checks above only record the good event
+    if not run.adaptive:  # fixed length: the checks above only record the good event
         return run.pulls.copy(), False
     # A failing arm jumps straight to the first n that can pass, when that n
     # is known and the budget covers every failing arm's gap; otherwise it
     # takes one pull per round, so a starved run splits its pulls evenly.
-    n_star = ci_engine.phase1_threshold() or 0
+    n_star = _phase1_threshold(cfg.regime.regime, run.delta) or 0
     while failing and run.budget > 0:
         steps = [max(1, n_star - run.pulls[k]) for k in failing]
         if sum(steps) > run.budget:
@@ -304,9 +263,9 @@ def _phase1(cfg, run, ci_engine, q, adaptive: bool) -> tuple[list[int], bool]:
     return run.pulls.copy(), bool(failing)
 
 
-def _phase2(cfg, run, ci_engine, q) -> tuple[list[int], bool]:
+def _phase2(run: _Run) -> tuple[list[int], bool]:
     """Elimination sweeps: pull active arms toward their shares, re-check."""
-    k_arms, horizon = cfg.num_arms, cfg.horizon
+    k_arms, horizon = run.cfg.num_arms, run.cfg.horizon
     active = set(range(k_arms))
     shares = [run.pulls[k] / horizon for k in range(k_arms)]
     stopping = list(run.pulls)
@@ -316,13 +275,12 @@ def _phase2(cfg, run, ci_engine, q) -> tuple[list[int], bool]:
         for k in sorted(active):
             target = shares[k] * horizon
             if run.pulls[k] < target - 1e-9:
-                run.draw(k, phase2_schedule(run.pulls[k], target, cfg.batch_growth) - run.pulls[k])
-        bounds = [
-            ci_engine.evaluate(k, run.pulls[k], run.sigma_hat(k)) for k in range(k_arms)
-        ]
+                step = phase2_schedule(run.pulls[k], target, run.cfg.batch_growth)
+                run.draw(k, step - run.pulls[k])
+        bounds = [run.interval(k) for k in range(k_arms)]
         for k in range(k_arms):
             others = [bounds[j][1] for j in range(k_arms) if j != k]
-            shares[k] = adaptive_weight(bounds[k][0], others, q)
+            shares[k] = adaptive_weight(bounds[k][0], others, run.q)
             if run.pulls[k] >= shares[k] * horizon - 1e-9:
                 stopping[k] = run.pulls[k]
                 active.discard(k)
@@ -334,38 +292,54 @@ def _phase2(cfg, run, ci_engine, q) -> tuple[list[int], bool]:
     return stopping, truncated
 
 
-def _run_policy(cfg: PolicyConfig, run, adaptive: bool) -> PolicyTrace:
+def _phase3(run: _Run) -> tuple[list[float], bool]:
+    """Final shares, rounded to counts that sum to the horizon; arms are pulled
+    up to their counts, highest estimated variance first.  Returns the variance
+    estimates and whether some arm was already past its count."""
+    k_arms = run.cfg.num_arms
+    sigma_hats = [stats.variance() for stats in run.stats]
+    powers_of = sigma_hats
+    if run.adaptive and run.cfg.phase3_ucb_mode:
+        ucbs = [run.interval(k)[1] for k in range(k_arms)]
+        # intervals can still be one-sided if the run starved in its first
+        # phase; keep the plug-in shares then
+        if all(math.isfinite(u) and u > 0 for u in ucbs):
+            powers_of = ucbs
+    try:
+        weights = plugin_weights(powers_of, run.q)
+    except DegenerateInputError:
+        weights = np.full(k_arms, 1.0 / k_arms)
+    counts = round_allocation(weights, run.cfg.horizon, sigma_hats)
+    clamped = any(n > c for n, c in zip(run.pulls, counts))
+    for k in sorted(range(k_arms), key=lambda k: (-sigma_hats[k], k)):
+        run.draw(k, counts[k] - run.pulls[k])
+    return sigma_hats, clamped
+
+
+def _run_policy(run: _Run) -> PolicyTrace:
     """The skeleton every policy shares.  The non-adaptive variant keeps the
     first phase at its fixed length, has no second phase, and always uses
     plug-in final shares."""
-    q = q_of_p(cfg.p)
-    delta = delta_schedule(adaptive, cfg.p, cfg.horizon)
-    truth = run.env.true_variances
-    ci_engine = _CIEngine(cfg.regime, delta, truth)
-    phase1_ends, starved = _phase1(cfg, run, ci_engine, q, adaptive)
-    if adaptive and not starved:
-        stopping, truncated = _phase2(cfg, run, ci_engine, q)
+    cfg, scale = run.cfg, run.objective_scale
+    phase1_ends, starved = _phase1(run)
+    if run.adaptive and not starved:
+        stopping, truncated = _phase2(run)
     else:
         stopping, truncated = list(run.pulls), starved
-    use_ucb = adaptive and cfg.phase3_ucb_mode
-    weights, sigma_hats = _phase3_weights(cfg, run, ci_engine, q, use_ucb)
-    counts = round_allocation(weights, cfg.horizon, sigma_hats)
-    clamped = _fill_by_priority(run, counts, sigma_hats)
+    sigma_hats, clamped = _phase3(run)
 
-    realized = run.objective_scale * objective_rp(run.pulls, truth, cfg.p)
-    profile = VarianceProfile(tuple(truth))
-    optimal = run.objective_scale * optimal_objective(profile, cfg.p, cfg.horizon)
-    estimates = tuple(stats.point() for stats in run.stats)  # can set `floored`
+    realized = scale * objective_rp(run.pulls, run.truth, cfg.p)
+    optimal = scale * optimal_objective(VarianceProfile(tuple(run.truth)), cfg.p, cfg.horizon)
     return PolicyTrace(
         counts=tuple(run.pulls),
         phase1_ends=tuple(phase1_ends),
         stopping_times=tuple(stopping),
-        estimates=estimates,
+        estimates=tuple(stats.point() for stats in run.stats),  # can set `floored`
         variance_estimates=tuple(sigma_hats),
         realized_objective=realized,
         optimal_objective=optimal,
         realized_regret=realized - optimal,
-        good_event_held=ci_engine.good,
+        good_event_held=run.good,
         truncated=truncated,
         budget_clamped=clamped,
         gamma_floored=any(stats.floored for stats in run.stats),
@@ -373,24 +347,24 @@ def _run_policy(cfg: PolicyConfig, run, adaptive: bool) -> PolicyTrace:
     )
 
 
-def _canonical_run(cfg: PolicyConfig, env) -> _Run:
+def _canonical_run(cfg: PolicyConfig, env, adaptive: bool) -> PolicyTrace:
     if cfg.context_spec is not None:
         raise ConfigurationError("the non-adaptive and adaptive policies run on canonical arms")
     if env is None:
         env = CanonicalEnv(cfg.arms, cfg.seed)
-    return _Run(env, [RunningMoments() for _ in range(cfg.num_arms)], cfg.horizon)
+    return _run_policy(_Run(cfg, env, [RunningMoments() for _ in cfg.arms], adaptive))
 
 
 def run_nonadaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
     """Fixed-length first phase from the known floor, one plug-in reallocation."""
     if cfg.lower_bound is None:
         raise ConfigurationError("the non-adaptive policy requires a variance lower bound")
-    return _run_policy(cfg, _canonical_run(cfg, env), adaptive=False)
+    return _canonical_run(cfg, env, adaptive=False)
 
 
 def run_adaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
     """Three-phase adaptive policy; needs no variance floor."""
-    return _run_policy(cfg, _canonical_run(cfg, env), adaptive=True)
+    return _canonical_run(cfg, env, adaptive=True)
 
 
 def run_contextual(cfg: PolicyConfig, env=None) -> PolicyTrace:
@@ -402,5 +376,5 @@ def run_contextual(cfg: PolicyConfig, env=None) -> PolicyTrace:
     d, lambda_min = env.dimension, cfg.context_spec.lambda_min
     stats = [RidgeState(d, lambda_min) for _ in range(cfg.num_arms)]
     # a ridge state is solvable from d rows
-    run = _Run(env, stats, cfg.horizon, seed_pulls=d, objective_scale=2.0 * d / lambda_min)
-    return _run_policy(cfg, run, adaptive=True)
+    run = _Run(cfg, env, stats, True, seed_pulls=d, objective_scale=2.0 * d / lambda_min)
+    return _run_policy(run)

@@ -4,6 +4,8 @@ Each randomized configuration is run once and checked against the structural
 invariants that hold for every policy, config, and seed:
 
 * budget identity: total pulls equal the horizon exactly,
+* pull order: each arm's segments sum to its count, and adjacent segments
+  name different arms,
 * minimum coverage: every arm is pulled at least twice,
 * no-overshoot: under the good event (and absent budget truncation), an
   arm's stopping time never exceeds its optimal count beyond the initial
@@ -35,6 +37,7 @@ from .arms import (
     Regime,
     gaussian_arm,
     rademacher_arm,
+    sample_context,
     symmetric_beta_arm,
 )
 from .policies import PolicyConfig, run_adaptive, run_contextual, run_nonadaptive
@@ -104,6 +107,13 @@ def _run(cfg: PolicyConfig, policy: str):
 def _check_trace(cfg: PolicyConfig, policy: str, trace, failures: list[str], tag: str):
     if sum(trace.counts) != cfg.horizon:
         failures.append(f"{tag}: budget identity broken ({sum(trace.counts)} != {cfg.horizon})")
+    per_arm = [0] * len(trace.counts)
+    for arm, m in trace.pull_order:
+        per_arm[arm] += m
+    if tuple(per_arm) != trace.counts:
+        failures.append(f"{tag}: pull order sums to {per_arm}, not the counts {trace.counts}")
+    if any(a == b for (a, _), (b, _) in zip(trace.pull_order, trace.pull_order[1:])):
+        failures.append(f"{tag}: adjacent pull segments name the same arm")
     if min(trace.counts) < 2:
         failures.append(f"{tag}: an arm was pulled fewer than 2 times")
     if any(
@@ -147,9 +157,7 @@ def _check_share_function(rng, failures: list[str], tag: str):
 def _check_context_commitment(cfg: PolicyConfig, failures: list[str], tag: str):
     """Replaying with permuted future contexts must not change earlier commits.
     Returns the two traces it ran."""
-    dim = cfg.context_spec.dimension
-    rng = np.random.default_rng(cfg.seed)
-    contexts = rng.uniform(-math.sqrt(3), math.sqrt(3), (cfg.horizon, dim))
+    contexts = sample_context(cfg.context_spec, np.random.default_rng(cfg.seed), cfg.horizon)
     cut = cfg.horizon // 2
 
     def env_with(ctx):

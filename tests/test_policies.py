@@ -13,12 +13,13 @@ import pytest
 import varalloc
 from varalloc import policies
 from varalloc.arms import ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm
-from varalloc.concentration import delta_schedule
+from varalloc.concentration import delta_schedule, interval
 from varalloc.errors import ConfigurationError, ContractViolation
 from varalloc.estimation import RunningMoments
 from varalloc.policies import (
     PolicyConfig,
-    _CIEngine,
+    _phase1_ok,
+    _phase1_threshold,
     phase1_length,
     phase2_schedule,
     run_adaptive,
@@ -132,12 +133,12 @@ class TestAdaptive:
             truth, 200, proxy=4.0, lower_bound=1.0, seed=5
         )
         # the threshold memo would keep what the pinned interval gives
-        policies._first_finite_ucb.cache_clear()
+        policies._phase1_threshold.cache_clear()
         monkeypatch.setattr(policies, "interval", lambda regime, n, delta, s2: (s2, s2))
         try:
             trace = run_adaptive(cfg, PooledVarianceEnv(list(truth)))
         finally:
-            policies._first_finite_ucb.cache_clear()
+            policies._phase1_threshold.cache_clear()
         assert trace.counts == (40, 160)
         assert (trace.phase1_ends, trace.stopping_times) == ((40, 40), (40, 160))
         assert trace.good_event_held
@@ -205,6 +206,14 @@ def _contextual_cfg(horizon, k=3, d=2, seed=0, noise_vars=(1.0, 2.0, 4.0)):
     )
 
 
+def test_horizon_past_2_53_rejected():
+    # the objective casts counts to float, which holds every integer up to 2**53
+    cfg = _gaussian_cfg((1.0, 2.0), 2**53)
+    for horizon in (2**53 + 1, 10**30):
+        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
+            replace(cfg, horizon=horizon)
+
+
 class TestContextual:
 
     def test_requires_p_one(self):
@@ -220,14 +229,6 @@ class TestContextual:
             replace(cfg, horizon=5)
         with pytest.raises(ConfigurationError, match="proxy"):
             replace(cfg, regime=NoiseRegime(Regime.SSG))
-
-
-def test_horizon_past_2_53_rejected():
-    # the objective casts counts to float, which holds every integer up to 2**53
-    cfg = _gaussian_cfg((1.0, 2.0), 2**53)
-    for horizon in (2**53 + 1, 10**30):
-        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
-            replace(cfg, horizon=horizon)
 
     def test_noise_free_recovers_coefficients(self, monkeypatch):
         cfg = _contextual_cfg(600, seed=4)
@@ -460,15 +461,14 @@ class TestPhase1Threshold:
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     @pytest.mark.parametrize("horizon", [10**3, 10**4, 10**6, 10**9])
     def test_matches_linear_scan_of_evaluate(self, regime, p, horizon):
-        engine = _CIEngine(NoiseRegime(regime), delta_schedule(True, p, horizon), [1.0])
+        delta = delta_schedule(True, p, horizon)
         n = 2
-        while not engine.evaluate(0, n, 1.0)[2]:
+        while not _phase1_ok(*interval(NoiseRegime(regime), n, delta, 1.0)):
             n += 1
-        assert engine.phase1_threshold() == n
+        assert _phase1_threshold(regime, delta) == n
 
     def test_unknown_under_gsg(self):
-        delta = delta_schedule(True, INF, 10**4)
-        assert _CIEngine(NoiseRegime(Regime.GSG, 2.0), delta, [1.0]).phase1_threshold() is None
+        assert _phase1_threshold(Regime.GSG, delta_schedule(True, INF, 10**4)) is None
 
     @pytest.mark.parametrize("regime", [Regime.SSG, Regime.GAUSSIAN])
     @pytest.mark.parametrize("p, horizon", [(INF, 10**4), (1.0, 10**4), (INF, 10**6)])
@@ -477,9 +477,9 @@ class TestPhase1Threshold:
         cfg = _gaussian_cfg(variances, horizon, p=p, regime=regime, seed=3)
         trace = run_adaptive(cfg)
         assert not trace.truncated
-        n_star = _CIEngine(cfg.regime, delta_schedule(True, p, horizon), list(variances))
+        n_star = _phase1_threshold(regime, delta_schedule(True, p, horizon))
         start = phase1_length(regime, None, horizon, len(variances))
-        assert trace.phase1_ends == (max(start, n_star.phase1_threshold()),) * len(variances)
+        assert trace.phase1_ends == (max(start, n_star),) * len(variances)
 
     def test_starved_run_keeps_round_robin(self):
         # the budget cannot carry every arm to the threshold, so phase 1 tops
