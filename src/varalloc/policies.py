@@ -159,7 +159,9 @@ def phase1_length(regime: Regime, proxy_or_unused: float, horizon: int, num_arms
 
 def phase2_schedule(current_n: int, target: float, batch_growth: float) -> int:
     """Next sample size at which the stopping condition is re-checked."""
-    return min(math.ceil(target), max(current_n + 1, math.ceil(current_n * batch_growth)))
+    return min(
+        math.ceil(target), max(current_n + 1, math.ceil(current_n * batch_growth))
+    )
 
 
 def _phase1_ok(lcb: float, ucb: float) -> bool:
@@ -180,8 +182,7 @@ def _phase1_threshold(regime: Regime, delta: float) -> int | None:
     hi = 2
     while not passes(hi):
         hi *= 2
-    lo = hi // 2 + 1  # hi // 2 does not pass, unless hi == 2
-    return lo + bisect.bisect_left(range(lo, hi + 1), True, key=passes)
+    return 2 + bisect.bisect_left(range(2, hi + 1), True, key=passes)
 
 
 class _Run:
@@ -231,8 +232,7 @@ def _phase1(run: _Run) -> tuple[list[int], bool]:
     """Initial pulls; the adaptive policy then tops arms up until every
     phase-1 check passes.  Returns the counts and whether the budget ran out
     before every arm passed."""
-    cfg = run.cfg
-    k_arms, horizon = cfg.num_arms, cfg.horizon
+    cfg, k_arms, horizon = run.cfg, run.cfg.num_arms, run.cfg.horizon
     if cfg.lower_bound is not None:
         start = tau_nonadaptive(cfg.lower_bound, cfg.regime.sigma_sq_proxy, k_arms, horizon, run.q)
     else:
@@ -265,7 +265,7 @@ def _phase1(run: _Run) -> tuple[list[int], bool]:
 
 def _phase2(run: _Run) -> tuple[list[int], bool]:
     """Elimination sweeps: pull active arms toward their shares, re-check."""
-    k_arms, horizon = run.cfg.num_arms, run.cfg.horizon
+    cfg, k_arms, horizon = run.cfg, run.cfg.num_arms, run.cfg.horizon
     active = set(range(k_arms))
     shares = [run.pulls[k] / horizon for k in range(k_arms)]
     stopping = list(run.pulls)
@@ -275,8 +275,7 @@ def _phase2(run: _Run) -> tuple[list[int], bool]:
         for k in sorted(active):
             target = shares[k] * horizon
             if run.pulls[k] < target - 1e-9:
-                step = phase2_schedule(run.pulls[k], target, run.cfg.batch_growth)
-                run.draw(k, step - run.pulls[k])
+                run.draw(k, phase2_schedule(run.pulls[k], target, cfg.batch_growth) - run.pulls[k])
         bounds = [run.interval(k) for k in range(k_arms)]
         for k in range(k_arms):
             others = [bounds[j][1] for j in range(k_arms) if j != k]
@@ -298,15 +297,15 @@ def _phase3(run: _Run) -> tuple[list[float], bool]:
     estimates and whether some arm was already past its count."""
     k_arms = run.cfg.num_arms
     sigma_hats = [stats.variance() for stats in run.stats]
-    powers_of = sigma_hats
+    shares_from = sigma_hats
     if run.adaptive and run.cfg.phase3_ucb_mode:
         ucbs = [run.interval(k)[1] for k in range(k_arms)]
         # intervals can still be one-sided if the run starved in its first
         # phase; keep the plug-in shares then
         if all(math.isfinite(u) and u > 0 for u in ucbs):
-            powers_of = ucbs
+            shares_from = ucbs
     try:
-        weights = plugin_weights(powers_of, run.q)
+        weights = plugin_weights(shares_from, run.q)
     except DegenerateInputError:
         weights = np.full(k_arms, 1.0 / k_arms)
     counts = round_allocation(weights, run.cfg.horizon, sigma_hats)
