@@ -207,16 +207,6 @@ def test_bounds_rejects_bad_config_value(field, text, tmp_path, capsys):
     assert _names(capsys.readouterr().err, field)
 
 
-def test_simulate_rejects_horizon_past_2_53_before_any_run(monkeypatch, capsys):
-    import varalloc.cli as cli
-
-    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a run started"))
-    config = str(Path(__file__).resolve().parents[1] / "configs" / "gaussian_k4_adaptive_ssg.ini")
-    assert main(["simulate", config, "--horizons", "2000", str(10**30)]) == 2
-    err = capsys.readouterr().err
-    assert _names(err, "horizons") and "Traceback" not in err
-
-
 def test_oracle_checks_its_limit_first():
     # the exhaustive search is limited to T <= 60; past it the command exits
     # before it computes anything, at any T
