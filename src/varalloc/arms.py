@@ -212,6 +212,11 @@ class ContextualEnv:
         self._ctx_rng = streams[0]
         self._noise_rngs = streams[1:]
         self._scripted = None if contexts is None else np.asarray(contexts, dtype=float)
+        if self._scripted is not None and self._scripted.shape[1:] != (context_spec.dimension,):
+            raise ConfigurationError(
+                f"scripted contexts must be (rounds, {context_spec.dimension}), "
+                f"got {self._scripted.shape}"
+            )
         self._round = 0
 
     @property
@@ -237,5 +242,9 @@ class ContextualEnv:
         summary of those rounds' (context, reward) rows."""
         ctx = self._next_contexts(m)
         rewards = ctx @ self.betas[k] + sample_reward(self.noise_arms[k], self._noise_rngs[k], m)
-        return RidgeState.of(ctx, rewards, self.spec.lambda_min)
+        # the rows are (m, d) and (m,) float arrays already: no `of` conversion
+        return RidgeState(
+            self.spec.dimension, self.spec.lambda_min, m, ctx.T @ ctx, ctx.T @ rewards,
+            _pending=[(ctx, rewards)],
+        )
 

@@ -2,7 +2,8 @@
 
 Subcommands:
   simulate <config>   run an experiment config, write per-trial CSV rows
-  bounds <config>     evaluate the configured bound curve over the horizons
+  bounds <config>     evaluate the configured bound curve over the horizons,
+                      and write it as CSV under --output
   oracle <profile>    exhaustive small-instance allocation check
   slopes <csv>        log-log rate estimation from a results CSV
   selftest            randomized structural-invariant battery
@@ -103,8 +104,8 @@ def _cmd_bounds(args) -> int:
         value = config_bound(cfg, variances, horizon)
         rows.append((cfg.name, cfg.bound, cfg.arm_count, cfg.p, horizon, value))
         print(f"T={horizon:>8d}  {cfg.bound} = {value:.6g}")
-    if cfg.output:
-        with open(cfg.output, "w", newline="", encoding="utf-8") as handle:
+    if args.output:  # the config's own `output` names simulate's CSV
+        with open(args.output, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["experiment", "bound_name", "K", "p", "T", "bound_value"])
             for row in rows:

@@ -5,7 +5,10 @@ folds in an environment's summary of one pull segment, `variance()` and
 `point()`; `of` summarizes raw draws.  RunningMoments is (count, mean, m2),
 merged exactly, so a stream folded segment by segment keeps the two-pass
 variance up to round-off.  RidgeState keeps the unregularized Gram matrix,
-X'y and the (context, reward) history its residual variance recenters over.
+X'y and the (context, reward) history its residual variance recenters over,
+in one capacity-doubling buffer per arm, so a residual scan is O(n d) and
+copies each row once.  Its ridge solve skips the eigenvalue singularity
+check when a certificate on the penalty shows the check must pass.
 """
 
 from __future__ import annotations
@@ -59,19 +62,30 @@ class RunningMoments:
 
 
 def _solve_spd(v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetric solve of v x = b, rejecting numerically singular systems."""
-    eigs = np.linalg.eigvalsh(v)
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if scale == 0.0 or float(eigs.min()) < SINGULARITY_RTOL * scale:
+    """Symmetric solve of v x = b, rejecting numerically singular systems: those
+    whose smallest eigenvalue is below SINGULARITY_RTOL times the largest
+    eigenvalue magnitude."""
+    eigs = np.linalg.eigvalsh(v)  # ascending
+    lo, hi = (float(eigs[0]), float(eigs[-1])) if eigs.size else (0.0, 0.0)
+    scale = max(-lo, hi)
+    if scale == 0.0 or lo < SINGULARITY_RTOL * scale:
         raise SingularSystemError(
-            f"system is singular at tolerance {SINGULARITY_RTOL} (min eig {eigs.min():.3e})"
+            f"system is singular at tolerance {SINGULARITY_RTOL} (min eig {lo:.3e})"
         )
     return np.linalg.solve(v, b)
 
 
 @dataclass
 class RidgeState:
-    """One arm's design: Gram matrix, X'y, and the full (context, reward) history."""
+    """One arm's design: Gram matrix, X'y, and its n (context, reward) rows.
+
+    `gram` is the Gram matrix of those rows as floating point accumulated it,
+    which `estimate` relies on.  The rows live in one context buffer and one
+    reward buffer whose capacity doubles as they fill.  A merged summary's rows
+    wait in `_pending` until `residual_variance` next scans the history, so
+    rows that arrive after the last scan, such as a run's final fill, are never
+    copied.
+    """
 
     dim: int
     lambda_min: float = 1.0
@@ -79,8 +93,10 @@ class RidgeState:
     gram: np.ndarray = None
     xty: np.ndarray = None
     floored: bool = False  # some point() fell back to the penalty floor
-    _ctx_chunks: list = field(default_factory=list)
-    _reward_chunks: list = field(default_factory=list)
+    _pending: list = field(default_factory=list)  # (contexts, rewards) not yet buffered
+    _contexts: np.ndarray = None  # buffer whose first `_filled` rows are in use
+    _rewards: np.ndarray = None
+    _filled: int = 0
     _point_at: tuple = (-1, ())  # (n, point()) of the last solve
     _variance_at: tuple = (-1, 0.0)  # (n, variance()) of the last computation
 
@@ -96,11 +112,13 @@ class RidgeState:
     def of(cls, contexts: np.ndarray, rewards: np.ndarray, lambda_min: float) -> "RidgeState":
         """Summary of raw rows: contexts (m, d), one reward each."""
         contexts, rewards = np.asarray(contexts, dtype=float), np.asarray(rewards, dtype=float)
-        if contexts.ndim != 2 or len(rewards) != len(contexts):
-            raise ContractViolation(f"need (m, d) contexts and m rewards, got {contexts.shape}")
+        if contexts.ndim != 2 or rewards.ndim != 1 or len(rewards) != len(contexts):
+            raise ContractViolation(
+                f"need (m, d) contexts and m rewards, got {contexts.shape} and {rewards.shape}"
+            )
         return cls(
             contexts.shape[1], lambda_min, len(contexts), contexts.T @ contexts,
-            contexts.T @ rewards, _ctx_chunks=[contexts], _reward_chunks=[rewards],
+            contexts.T @ rewards, _pending=[(contexts, rewards)],
         )
 
     def update_many(self, other: "RidgeState") -> "RidgeState":
@@ -111,16 +129,58 @@ class RidgeState:
             return self
         self.gram += other.gram
         self.xty += other.xty
-        self._ctx_chunks += other._ctx_chunks
-        self._reward_chunks += other._reward_chunks
+        if other._filled:  # its buffer only ever grows past these rows
+            self._pending.append(
+                (other._contexts[: other._filled], other._rewards[: other._filled])
+            )
+        self._pending += other._pending
         self.n += other.n
         return self
 
     def estimate(self, gamma: float) -> np.ndarray:
-        """Coefficients of the ridge solve (gamma*I + Gram) beta = X'y."""
+        """Coefficients of the ridge solve V beta = X'y, V = gamma*I + Gram.
+
+        The solve skips `_solve_spd`'s eigenvalue check when a certificate
+        shows the check must pass: x = (n + d + 64 d^2) u <= 1/8 and
+        gamma > 2 (x + SINGULARITY_RTOL) tr(V), with u = 2^-53 and tr(V) the
+        computed sum of the diagonal of the V that check would see.
+        Derivation, with V* =
+        G* + gamma*I the exact matrix, G* the exact Gram matrix of the n rows
+        and S the exact sum of V's diagonal:
+        - each Gram entry is a sum of n products, so every product passes
+          through at most n roundings, in any summation order; with
+          Cauchy-Schwarz, ||gram - G*||_2 <= gamma_n tr(G*), gamma_n =
+          n u / (1 - n u), and each diagonal entry, a sum of squares, is at
+          least (1 - gamma_n) times its exact value, so tr(G*) and tr(V*) are
+          at most S / ((1 - gamma_n)(1 - u));
+        - adding gamma to the diagonal errs by at most u S / (1 - u), so
+          ||V - V*||_2 <= a S with a = (gamma_n + u) / ((1 - gamma_n)(1 - u)), and
+          lambda_min(V) >= gamma - a S, ||V||_2 <= b S with b = a + 1 /
+          ((1 - gamma_n)(1 - u));
+        - `eigvalsh` is backward stable: each computed eigenvalue lies within
+          p(d) u ||V||_2 of V's, and p(d) = 64 d^2 is a generous form of the
+          modestly growing p(d) of LAPACK's error bounds;
+        - so the computed smallest eigenvalue is at least gamma - (a + p u b) S
+          and the largest magnitude at most (1 + p u) b S, and the check
+          passes when gamma >= (a + b (p u + SINGULARITY_RTOL (1 + p u))) S;
+        - the computed trace tr(V) is at least (1 - gamma_d) S, and with x <=
+          1/8 that sufficient gamma is below 1.3 (x + SINGULARITY_RTOL) tr(V);
+          the factor 2 also covers the rounding of the certificate's own terms.
+        At the policy's penalty lambda_min / n, gamma / tr(V) is about
+        lambda_min / (n^2 E|c|^2), so with the unit-variance contexts of
+        `arms.ContextSpec` in dimension 4 (E|c|^2 = 4) and lambda_min = 1 the
+        certificate holds up to about n = 1e5 rows.
+        """
         if gamma < 0:
             raise ContractViolation("gamma must be nonnegative")
-        return _solve_spd(gamma * np.eye(self.dim) + self.gram, self.xty)
+        d = self.dim
+        v = self.gram + 0.0  # a copy; + 0.0 turns -0.0 to 0.0, as adding gamma * I does
+        diagonal = v.ravel()[:: d + 1]  # a view
+        diagonal += gamma
+        x = (self.n + d + 64 * d * d) * 2.0**-53
+        if x <= 0.125 and gamma > 2.0 * (x + SINGULARITY_RTOL) * float(diagonal.sum()):
+            return np.linalg.solve(v, self.xty)
+        return _solve_spd(v, self.xty)
 
     def point(self) -> tuple[float, ...]:
         """Ridge coefficients at penalty lambda_min / max(n, 1), solved once per
@@ -145,14 +205,36 @@ class RidgeState:
         return self._variance_at[1]
 
     def residual_variance(self, beta_hat: np.ndarray) -> float:
-        """Recentered sample variance of the residuals over the full history."""
+        """Recentered sample variance of the residuals over the full history:
+        one O(n d) scan of the buffered rows."""
         if self.n < 2:
             raise InsufficientDataError(
                 f"residual variance needs n >= 2, have n={self.n}"
             )
-        contexts = np.concatenate(self._ctx_chunks)
-        r = np.concatenate(self._reward_chunks) - contexts @ np.asarray(beta_hat, dtype=float)
-        return float(((r - r.mean()) ** 2).sum()) / (self.n - 1)
+        contexts, rewards = self._rows()
+        r = rewards - contexts @ np.asarray(beta_hat, dtype=float)
+        r -= float(r.sum()) / self.n
+        return float((r * r).sum()) / (self.n - 1)
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Contiguous views of the n rows, after copying the pending ones into
+        the buffers, which double in capacity when they run out."""
+        filled = self._filled
+        if self._pending:
+            capacity = 0 if self._contexts is None else len(self._contexts)
+            if capacity < self.n:
+                capacity = max(self.n, 2 * capacity)
+                old_contexts, old_rewards = self._contexts, self._rewards
+                self._contexts, self._rewards = np.empty((capacity, self.dim)), np.empty(capacity)
+                if filled:
+                    self._contexts[:filled] = old_contexts[:filled]
+                    self._rewards[:filled] = old_rewards[:filled]
+            for contexts, rewards in self._pending:
+                end = filled + len(rewards)
+                self._contexts[filled:end], self._rewards[filled:end] = contexts, rewards
+                filled = end
+            self._filled, self._pending = filled, []
+        return self._contexts[:filled], self._rewards[:filled]
 
 
 def conditional_mse(

@@ -152,6 +152,13 @@ def test_contextual_env_rejects_dimension_mismatch():
         ContextualEnv(np.ones((1, 2)), ContextSpec(dimension=1), [gaussian_arm(0.0, 1.0)], 0)
 
 
+@pytest.mark.parametrize("contexts", [np.ones(2), np.ones((3, 1)), np.ones((3, 2, 1))])
+def test_contextual_env_rejects_misshapen_scripted_contexts(contexts):
+    with pytest.raises(ConfigurationError):
+        ContextualEnv(np.ones((1, 2)), ContextSpec(dimension=2), [gaussian_arm(0.0, 1.0)], 0,
+                      contexts=contexts)
+
+
 def test_contextual_env_noise_moments():
     # with contexts all 1 and beta = 0, X'y / n is the mean of the noise draws
     # and the residual variance at beta = 0 their sample variance

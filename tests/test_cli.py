@@ -234,6 +234,21 @@ def test_shipped_config_runs(config, tmp_path):
         assert main(["bounds", str(config), "--output", str(tmp_path / "bounds.csv")]) == 0
 
 
+def test_bounds_leaves_the_simulate_csv_alone(tmp_path, monkeypatch):
+    # a shipped config's `output` names simulate's per-trial CSV; `bounds`
+    # writes its own CSV only under --output
+    config = tmp_path / "rademacher_gaussian_ssg.ini"
+    config.write_bytes((SHIPPED_CONFIGS[0].parent / config.name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(str(config))
+    assert main(["simulate", str(config), "--trials", "2", "--workers", "1",
+                 "--horizons", "1000", "2000", "4000", "8000"]) == 0
+    written = Path(cfg.output).read_bytes()
+    assert main(["bounds", str(config)]) == 0
+    assert Path(cfg.output).read_bytes() == written
+    assert main(["slopes", cfg.output]) == 0
+
+
 UNPARSABLE_INIS = {
     "repeated-section": _ini() + "[experiment]\nname = y\n",
     "no-section-header": "name = x\n" + _ini(),

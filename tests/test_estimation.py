@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from varalloc import estimation
 from varalloc.estimation import (
     RidgeState,
     RunningMoments,
+    _solve_spd,
     conditional_mse,
 )
 from varalloc.errors import (
@@ -127,6 +129,11 @@ class TestRidge:
         with pytest.raises(ContractViolation):
             RidgeState(2).update_many(RidgeState.of([[1.0]], [1.0], 1.0))
 
+    def test_of_rejects_rewards_that_are_not_one_dimensional(self):
+        # a column of rewards used to build a (d, 1) X'y and a broadcast residual
+        with pytest.raises(ContractViolation):
+            RidgeState.of(np.ones((3, 2)), np.ones((3, 1)), 1.0)
+
     def test_chunked_merge_equals_one_shot(self):
         # integer data keeps every Gram and X'y sum exact, whatever the order
         rng = np.random.default_rng(12)
@@ -218,6 +225,112 @@ class TestResidualVariance:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             RidgeState.of([[1.0]], [1.0], 1.0).residual_variance(np.zeros(1))
+
+    def test_buffered_history_equals_one_shot(self):
+        # many small pulls, each followed by a scan, so the buffer doubles
+        # several times; one merge brings a state that holds buffered rows
+        rng = np.random.default_rng(21)
+        contexts, rewards = rng.normal(size=(300, 3)), rng.normal(size=300)
+        beta = np.array([0.3, -1.1, 2.0])
+        grown, capacities = RidgeState(3), set()
+        cuts = [0, 1, 2, 5, 6, 13, 30, 31, 64, 100, 101, 170, 200]
+        for lo, hi in zip(cuts, cuts[1:]):
+            grown.update_many(RidgeState.of(contexts[lo:hi], rewards[lo:hi], 1.0))
+            if hi >= 2:
+                prefix = RidgeState.of(contexts[:hi], rewards[:hi], 1.0)
+                assert grown.residual_variance(beta) == prefix.residual_variance(beta)
+                capacities.add(len(grown._contexts))
+        assert len(capacities) >= 4
+        side = RidgeState(3)
+        for lo, hi in [(200, 230), (230, 240)]:  # buffers 40 rows at capacity 60
+            side.update_many(RidgeState.of(contexts[lo:hi], rewards[lo:hi], 1.0))
+            side.residual_variance(beta)
+        side.update_many(RidgeState.of(contexts[240:250], rewards[240:250], 1.0))
+        grown.update_many(side).update_many(RidgeState.of(contexts[250:], rewards[250:], 1.0))
+        buffer = side._contexts
+        side.update_many(RidgeState.of(contexts[:5], rewards[:5], 1.0))
+        side.residual_variance(beta)
+        assert side._contexts is buffer  # it grew in place, past the rows merged above
+        whole = RidgeState.of(contexts, rewards, 1.0)
+        assert grown.n == whole.n == 300
+        assert grown.residual_variance(beta) == whole.residual_variance(beta)
+
+    def test_large_offset_matches_two_pass_reference(self):
+        # rewards near 1e8: a sum-of-squares form of the residual variance
+        # would cancel every digit
+        rng = np.random.default_rng(9)
+        n, beta = 5000, np.array([0.5, -1.0])
+        contexts = rng.uniform(-math.sqrt(3), math.sqrt(3), (n, 2))
+        rewards = 1e8 + contexts @ beta + rng.normal(0.0, 1.0, n)
+        s = RidgeState(2)
+        for rows in np.array_split(np.arange(n), 37):
+            s.update_many(RidgeState.of(contexts[rows], rewards[rows], 1.0))
+        r = [math.fsum([y, -c[0] * beta[0], -c[1] * beta[1]]) for c, y in zip(contexts, rewards)]
+        mean = math.fsum(r) / n
+        want = math.fsum((x - mean) ** 2 for x in r) / (n - 1)
+        assert s.residual_variance(beta) == pytest.approx(want, rel=1e-9)
+
+
+def _ridge_system(seed, n, d, rank, log_gamma, log_scale):
+    """A ridge state over n rows whose contexts have the given rank, plus a
+    tiny full-rank perturbation, times 10**log_scale; the penalty is
+    10**log_gamma times n times the squared scale."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    contexts = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d))
+    contexts = (contexts + 1e-9 * rng.normal(size=(n, d))) * scale
+    s = RidgeState(d)
+    for rows in np.array_split(np.arange(n), int(rng.integers(1, 5))):
+        s.update_many(RidgeState.of(contexts[rows], rng.normal(size=len(rows)) * scale, 1.0))
+    return s, 10.0**log_gamma * n * scale * scale
+
+
+def _estimate_and_checks(s, gamma):
+    """`s.estimate(gamma)` and how many eigenvalue checks it ran."""
+    checks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            estimation, "_solve_spd", lambda v, b: checks.append(v) or _solve_spd(v, b)
+        )
+        return s.estimate(gamma), len(checks)
+
+
+class TestEigenvalueCertificate:
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 6), st.integers(1, 6),
+        st.floats(-20.0, 1.0), st.floats(-60.0, 60.0),
+    )
+    @example(0, 40, 4, 4, -3.0, 0.0)  # well posed at unit scale: skipped
+    @example(1, 40, 4, 1, -18.0, 0.0)  # near-singular, past the certificate: the check raises
+    @settings(max_examples=300, deadline=None)
+    def test_a_skipped_check_would_have_passed(self, seed, n, d, rank, log_gamma, log_scale):
+        s, gamma = _ridge_system(seed, n, d, min(rank, d), log_gamma, log_scale)
+        try:
+            beta, checks = _estimate_and_checks(s, gamma)
+        except SingularSystemError:
+            return  # only the check itself raises
+        if checks == 0:
+            want = _solve_spd(gamma * np.eye(d) + s.gram, s.xty)  # raises nothing
+            assert beta.tobytes() == want.tobytes()
+
+    def test_the_policy_penalty_is_certified(self):
+        # uniform contexts as `arms.sample_context` draws them: the point solve skips eigvalsh
+        rng = np.random.default_rng(2)
+        for n in (4, 100, 20_000):
+            contexts = rng.uniform(-math.sqrt(3), math.sqrt(3), (n, 4))
+            s = RidgeState.of(contexts, rng.normal(size=n), 1.0)
+            assert _estimate_and_checks(s, 1.0 / n)[1] == 0
+
+    def test_eigenvalue_check_runs_past_the_certificate(self):
+        rng = np.random.default_rng(3)
+        s = RidgeState.of(rng.normal(size=(50, 3)), rng.normal(size=50), 1.0)
+        gamma = 1e-14 * float(np.trace(s.gram))  # well posed, but below the certificate
+        beta, checks = _estimate_and_checks(s, gamma)
+        assert checks == 1
+        assert beta.tobytes() == _solve_spd(gamma * np.eye(3) + s.gram, s.xty).tobytes()
+        singular = RidgeState.of([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0], 1.0)
+        with pytest.raises(SingularSystemError):
+            singular.estimate(1e-20)
 
 
 class TestConditionalMse:

@@ -12,7 +12,9 @@ import pytest
 
 import varalloc
 from varalloc import policies
-from varalloc.arms import ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm
+from varalloc.arms import (
+    CanonicalEnv, ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm,
+)
 from varalloc.concentration import delta_schedule, interval
 from varalloc.errors import ConfigurationError, ContractViolation
 from varalloc.estimation import RunningMoments
@@ -502,6 +504,32 @@ def test_horizon_is_a_parameter_not_a_loop_count():
     assert sum(trace.counts) == 10**9
     assert peak < 2**20
 
+
+def _pull_count_cases():
+    for policy in (run_nonadaptive, run_adaptive):
+        for regime in (Regime.SSG, Regime.GAUSSIAN, Regime.GSG):
+            for horizon in (10**4, 10**6, 10**9):
+                for p in (INF, 2.0):
+                    # a failing GSG arm tops up one pull at a time
+                    starved = policy is run_adaptive and regime == Regime.GSG and horizon > 10**4
+                    marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 2")] if starved else []
+                    yield pytest.param(
+                        policy, regime, horizon, p, marks=marks,
+                        id=f"{policy.__name__}-{regime.value}-{horizon:.0e}-p{p:g}",
+                    )
+
+
+@pytest.mark.parametrize("policy, regime, horizon, p", _pull_count_cases())
+def test_pull_segments_grow_like_log_horizon(policy, regime, horizon, p, monkeypatch):
+    # the cost model: a run makes O(K log T) environment pulls, whatever T
+    pulls = []
+    pull = CanonicalEnv.pull
+    monkeypatch.setattr(CanonicalEnv, "pull", lambda env, k, m=1: pulls.append(m) or pull(env, k, m))
+    variances = (1.0, 1.5, 2.0, 2.5)
+    lower_bound = 1.0 if policy is run_nonadaptive else None
+    cfg = _gaussian_cfg(variances, horizon, p, regime, proxy=2.5, seed=1, lower_bound=lower_bound)
+    assert sum(policy(cfg).counts) == sum(pulls) == horizon
+    assert len(pulls) <= 2 * len(variances) * math.log2(horizon) + 16
 
 # Traces of a fixed set of selftest-drawn runs, each canonical one also under
 # GSG at its proxy; run in this process and in a fresh interpreter.
