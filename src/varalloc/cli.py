@@ -5,7 +5,8 @@ Subcommands:
   bounds <config>     evaluate the configured bound curve over the horizons,
                       and write it as CSV under --output
   oracle <profile>    exhaustive small-instance allocation check
-  slopes <csv>        log-log rate estimation from a results CSV
+  slopes <csv>        log-log rate estimation from a results CSV; names the
+                      horizons it leaves out for a mean regret <= 0
   selftest            randomized structural-invariant battery
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error,
@@ -15,7 +16,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import math
@@ -25,7 +25,6 @@ from dataclasses import replace
 from .allocation import VarianceProfile, objective_rp, optimal_allocation
 from .errors import VarallocError
 from .harness import (
-    _fmt,
     config_bound,
     load_config,
     oracle_best_allocation,
@@ -34,6 +33,7 @@ from .harness import (
     run_experiment,
     slope_estimate,
     summarize,
+    write_csv,
 )
 from .selftest import run_selftest
 
@@ -105,11 +105,7 @@ def _cmd_bounds(args) -> int:
         rows.append((cfg.name, cfg.bound, cfg.arm_count, cfg.p, horizon, value))
         print(f"T={horizon:>8d}  {cfg.bound} = {value:.6g}")
     if args.output:  # the config's own `output` names simulate's CSV
-        with open(args.output, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["experiment", "bound_name", "K", "p", "T", "bound_value"])
-            for row in rows:
-                writer.writerow([_fmt(value) for value in row])
+        write_csv(args.output, ("experiment", "bound_name", "K", "p", "T", "bound_value"), rows)
     return EXIT_OK
 
 
@@ -132,9 +128,12 @@ def _cmd_slopes(args) -> int:
     for row in rows:
         groups.setdefault((row.experiment, row.policy, row.p), []).append(row)
     for (name, policy, p), grp in sorted(groups.items(), key=lambda kv: str(kv[0])):
-        slope = slope_estimate(grp)
+        dropped = []
+        slope = slope_estimate(grp, dropped)
         p_text = "inf" if math.isinf(p) else f"{p:g}"
         print(f"{name} [{policy}, p={p_text}]  slope {slope:+.3f}")
+        if dropped:
+            print(f"  dropped T={', '.join(map(str, dropped))}: mean regret <= 0")
     return EXIT_OK
 
 

@@ -69,13 +69,13 @@ _CSV_SCHEMA = (
     ("bound_name", "bound_name", str),
     ("bound_value", "bound_value", lambda text: _finite(text) if text else None),
     ("good_event", "good_event", {"1": True, "0": False}.__getitem__),
-    ("runtime_ms", "runtime_ms", int),
+    ("runtime_ms", "runtime_ms", _finite),
 )
 CSV_COLUMNS = tuple(column for column, _, _ in _CSV_SCHEMA)
 
 # One row per theorem: name -> (the p it covers: "inf", "finite" or "any"; the
 # inputs it needs beyond the variances; its leading constant).  A constant takes
-# the terms it reads by name from make_bound_curve; the rate follows from p alone.
+# the terms it reads by name from bound_value; the rate follows from p alone.
 _BOUNDS = {
     "t1_inf": ("inf", ("lower_bound", "proxy"), lambda k, s_2, share, lower_bound, proxy, **_:
         4.0 * math.sqrt(2.0) * proxy * (share() ** -0.5 * (k + s_2 / lower_bound - 2.0))),
@@ -103,33 +103,18 @@ _BOUNDS = {
 BOUND_NAMES = tuple(_BOUNDS)
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """Leading term of a regret upper bound: constant * T^t_exp * (log T)^log_exp."""
-
-    theorem: str
-    leading_constant: float
-    t_exponent: float
-    log_exponent: float
-
-    def value_at(self, horizon: int) -> float:
-        return (
-            self.leading_constant
-            * float(horizon) ** self.t_exponent
-            * math.log(horizon) ** self.log_exponent
-        )
-
-
-def make_bound_curve(
+def bound_value(
     theorem: str,
     profile: VarianceProfile,
     num_arms: int,
+    horizon: int,
     p: float,
     dim: int | None = None,
     lambda_min_c: float | None = None,
-) -> BoundCurve:
-    """One theorem's bound: its row's leading constant, at the rate p sets:
-    T^-3/2 (log T)^1/2 at p = inf, T^-2 log T at finite p."""
+) -> float:
+    """Leading term of a theorem's regret bound at one horizon: its row's
+    constant at the rate p sets, T^-3/2 (log T)^1/2 at p = inf and
+    T^-2 log T at finite p."""
     validate_norm_order(p)
     name = theorem.lower()
     if name not in _BOUNDS:
@@ -149,23 +134,8 @@ def make_bound_curve(
     missing = [key for key in needs if terms[key] is None]
     if missing:
         raise ConfigurationError(f"{name} needs {', '.join(missing)}")
-    rate = (-1.5, 0.5) if math.isinf(p) else (-2.0, 1.0)
-    return BoundCurve(name, constant(**terms), *rate)
-
-
-def bound_value(
-    theorem: str,
-    profile: VarianceProfile,
-    num_arms: int,
-    horizon: int,
-    p: float,
-    dim: int | None = None,
-    lambda_min_c: float | None = None,
-) -> float:
-    """Leading-term value of a theorem's bound at one horizon."""
-    return make_bound_curve(theorem, profile, num_arms, p, dim, lambda_min_c).value_at(
-        horizon
-    )
+    t_exponent, log_exponent = (-1.5, 0.5) if math.isinf(p) else (-2.0, 1.0)
+    return constant(**terms) * float(horizon) ** t_exponent * math.log(horizon) ** log_exponent
 
 
 def oracle_best_allocation(variances, p: float, horizon: int) -> tuple[int, ...]:
@@ -194,18 +164,20 @@ def oracle_best_allocation(variances, p: float, horizon: int) -> tuple[int, ...]
     return best
 
 
-def slope_estimate(rows) -> float:
+def slope_estimate(rows, dropped: list | None = None) -> float:
     """OLS slope of log(mean regret) against log(horizon) over Row records.
 
-    Nonpositive mean regrets are excluded; fewer than four surviving points
-    is an estimation error.
+    Nonpositive mean regrets are excluded, and their horizons appended to
+    `dropped` when it is given; fewer than four surviving points is an
+    estimation error.
     """
     by_t: dict[int, list[float]] = {}
     for row in rows:
         by_t.setdefault(row.horizon, []).append(row.regret)
-    points = [
-        (t, float(np.mean(rs))) for t, rs in sorted(by_t.items()) if np.mean(rs) > 0
-    ]
+    means = [(t, float(np.mean(rs))) for t, rs in sorted(by_t.items())]
+    points = [(t, mean) for t, mean in means if mean > 0]
+    if dropped is not None:
+        dropped.extend(t for t, mean in means if mean <= 0)
     if len(points) < 4:
         raise ConfigurationError(
             f"slope estimation needs >= 4 positive mean-regret points, have {len(points)}"
@@ -284,7 +256,6 @@ class ExperimentConfig:
         if self.policy == "contextual":
             if self.num_arms is None or self.dim is None or min(self.num_arms, self.dim) < 1:
                 raise ConfigurationError("contextual experiments need num_arms >= 1 and dim >= 1")
-            _check_values(self.noise_variances, self.num_arms, "noise_variances")
         elif not self.variances or isinstance(self.variances, str):
             raise ConfigurationError(
                 f"canonical experiments need variances, one per arm, got {self.variances!r}"
@@ -297,8 +268,6 @@ class ExperimentConfig:
                 )
             if Family.SYMMETRIC_BETA in self.families and self.beta_shapes is None:
                 raise ConfigurationError("symmetric_beta arms need beta_shapes")
-            _check_values(self.means, count, "means")
-            _check_values(self.beta_shapes, count, "beta_shapes", may_draw=False)
         if horizons[-1] > _MAX_HORIZON:  # the smallest is checked with the templates
             raise ConfigurationError(f"horizons must not exceed 2**53, got {horizons[-1]}")
         templates = [_policy_config(self, horizons[0], _RangeEnd(high)) for high in (False, True)]
@@ -334,12 +303,15 @@ class Row:
     bound_name: str
     bound_value: float | None
     good_event: bool
-    runtime_ms: int
+    runtime_ms: float
 
 
-def _check_values(spec, count: int, what: str, may_draw: bool = True):
-    """None, one finite value per arm, or (if may_draw) 'uniform a b' with finite a <= b."""
-    if isinstance(spec, str) and may_draw:
+def _values(spec, count: int, what: str, rng=None) -> tuple[float, ...]:
+    """One value per arm from a spec: None (all 0), one finite value per arm,
+    or, given an rng to draw from, 'uniform a b' with finite a <= b."""
+    if spec is None:
+        return (0.0,) * count
+    if isinstance(spec, str) and rng is not None:
         parts = spec.split()
         try:
             lo, hi = (float(x) for x in parts[1:])
@@ -350,10 +322,10 @@ def _check_values(spec, count: int, what: str, may_draw: bool = True):
             raise ConfigurationError(
                 f"{what} must be 'uniform a b' with finite a <= b, got {spec!r}"
             )
-    elif spec is not None and (
-        isinstance(spec, str) or len(spec) != count or not all(map(math.isfinite, spec))
-    ):
+        return tuple(float(x) for x in rng.uniform(lo, hi, count))
+    if isinstance(spec, str) or len(spec) != count or not all(map(math.isfinite, spec)):
         raise ConfigurationError(f"{what} needs one finite value per arm ({count}): {spec!r}")
+    return tuple(float(x) for x in spec)
 
 
 class _RangeEnd:
@@ -364,16 +336,6 @@ class _RangeEnd:
 
     def uniform(self, low, high, size):
         return np.full(size, high if self.high else low)
-
-
-def _draw_values(spec, count: int, rng) -> tuple[float, ...]:
-    """A fixed list, or 'uniform a b' drawn per trial."""
-    if spec is None:
-        return (0.0,) * count
-    if isinstance(spec, str):
-        lo, hi = (float(x) for x in spec.split()[1:])
-        return tuple(float(x) for x in rng.uniform(lo, hi, count))
-    return tuple(float(x) for x in spec)
 
 
 def config_bound(cfg: ExperimentConfig, variances, horizon: int) -> float:
@@ -395,7 +357,7 @@ def _canonical_arms(cfg: ExperimentConfig, means) -> tuple[ArmSpec, ...]:
     """Each arm from its family: rademacher and beta variances follow from the family."""
     count = len(cfg.variances)
     families = cfg.families * count if len(cfg.families) == 1 else cfg.families
-    shapes = cfg.beta_shapes or (None,) * count
+    shapes = _values(cfg.beta_shapes, count, "beta_shapes")
     return tuple(
         rademacher_arm(mean) if family == Family.RADEMACHER
         else _keyed("beta_shapes", symmetric_beta_arm, mean, shape)
@@ -416,11 +378,11 @@ def _policy_config(cfg: ExperimentConfig, horizon: int, rng) -> PolicyConfig:
         batch_growth=cfg.batch_growth,
     )
     if cfg.policy != "contextual":
-        means = _draw_values(cfg.means, len(cfg.variances), rng)
+        means = _values(cfg.means, len(cfg.variances), "means", rng)
         return PolicyConfig(arms=_canonical_arms(cfg, means), **common)
     spec = ContextSpec(dimension=cfg.dim, lambda_min=cfg.lambda_min)
     betas = rng.uniform(cfg.beta_low, cfg.beta_high, (cfg.num_arms, cfg.dim))
-    noise_vars = _draw_values(cfg.noise_variances, cfg.num_arms, rng)
+    noise_vars = _values(cfg.noise_variances, cfg.num_arms, "noise_variances", rng)
     return PolicyConfig(
         betas=tuple(tuple(b) for b in betas),
         context_spec=spec,
@@ -443,7 +405,7 @@ def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
         env = CanonicalEnv(policy_cfg.arms, env_seq)
         runner = run_nonadaptive if cfg.policy == "nonadaptive" else run_adaptive
         trace = runner(policy_cfg, env)
-    runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
+    runtime_ms = round(1000.0 * (time.perf_counter() - start), 3)
 
     bound_name, bound = "", None
     if cfg.bound:
@@ -483,7 +445,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
         rows = [_run_one(*task) for task in tasks]
     rows.sort(key=lambda r: (r.horizon, r.trial))
     if cfg.output:
-        write_csv(rows, cfg.output)
+        fields = [field for _, field, _ in _CSV_SCHEMA]
+        write_csv(cfg.output, CSV_COLUMNS, ([getattr(r, f) for f in fields] for r in rows))
     return rows
 
 
@@ -499,12 +462,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(rows: list[Row], path: str):
+def write_csv(path: str, header, records):
+    """A CSV file of the header, then one line per record of cell values:
+    None as empty, bools as 1/0, floats by repr."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow([_fmt(getattr(r, field)) for _, field, _ in _CSV_SCHEMA])
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in record] for record in records)
 
 
 def read_csv(path: str) -> list[Row]:

@@ -109,6 +109,9 @@ class PolicyConfig:
             )
         if self.lower_bound is not None and self.regime.sigma_sq_proxy is None:
             raise ConfigurationError("a known lower bound also needs the variance proxy")
+        # tau_nonadaptive's own check, made here so that a config fails at load
+        if self.lower_bound is not None and self.lower_bound > self.regime.sigma_sq_proxy + 1e-12:
+            raise ConfigurationError("lower_bound must not exceed the proxy")
         if not 1.0 < self.batch_growth < math.inf:
             raise ConfigurationError(
                 f"batch_growth must be finite and exceed 1, got {self.batch_growth}"

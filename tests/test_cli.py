@@ -10,7 +10,8 @@ import pytest
 
 import varalloc
 from varalloc.cli import main
-from varalloc.harness import CSV_COLUMNS, load_config
+from varalloc.errors import ConfigurationError
+from varalloc.harness import CSV_COLUMNS, load_config, read_csv
 
 CONFIG_TEXT = """
 [experiment]
@@ -182,6 +183,14 @@ BAD_VALUE_INIS = {
     "variances-zero": ("variances", _ini(variances="0 1")),
     "horizons-past-2**53": ("horizons", _ini(horizons=f"400 {2**53 + 1}")),
     "default-section": ("DEFAULT", "[DEFAULT]\nfoo = 1\n" + _ini()),
+    "beta_shapes-uniform": (
+        "beta_shapes", _ini(families="symmetric_beta\nbeta_shapes = uniform 1 2")
+    ),
+    "means-one-end": ("means", _ini(means="uniform 1")),
+    "lower_bound-above-proxy": (
+        "lower_bound",
+        _ini(policy="nonadaptive", variances="3 4", knowledge="lower_bound = 3\nproxy = 2.5"),
+    ),
 }
 
 
@@ -205,6 +214,18 @@ def test_bounds_rejects_bad_config_value(field, text, tmp_path, capsys):
     path.write_text(text)
     assert main(["bounds", str(path), "--bound", "t7_ssg_adaptive_inf"]) == 2
     assert _names(capsys.readouterr().err, field)
+
+
+def test_lower_bound_above_proxy_rejected_at_load(tmp_path):
+    # the floor must not exceed the proxy; the file fails when it is loaded,
+    # not in its first trial
+    path = tmp_path / "floor.ini"
+    floor = "lower_bound = {}\nproxy = 2.5"
+    path.write_text(_ini(policy="nonadaptive", variances="3 4", knowledge=floor.format(3)))
+    with pytest.raises(ConfigurationError, match="lower_bound"):
+        load_config(str(path))
+    path.write_text(_ini(policy="nonadaptive", variances="3 4", knowledge=floor.format(2.5)))
+    assert load_config(str(path)).lower_bound == 2.5
 
 
 def test_oracle_checks_its_limit_first():
@@ -249,6 +270,41 @@ def test_bounds_leaves_the_simulate_csv_alone(tmp_path, monkeypatch):
     assert main(["slopes", cfg.output]) == 0
 
 
+# `bounds --output` of each bounded shipped config, byte for byte
+BOUNDS_PINS = {
+    "gaussian_k4_gsg": """\
+experiment,bound_name,K,p,T,bound_value
+gaussian-k4-gsg,t1_inf,4,inf,2000,0.011438117571736536
+gaussian-k4-gsg,t1_inf,4,inf,5000,0.0030630932110636347
+gaussian-k4-gsg,t1_inf,4,inf,10000,0.0011261722200538958
+gaussian-k4-gsg,t1_inf,4,inf,20000,0.00041287259475294324
+gaussian-k4-gsg,t1_inf,4,inf,50000,0.00010917448309063054
+gaussian-k4-gsg,t1_inf,4,inf,100000,3.9816200679200924e-05
+""",
+    "gaussian_k4_adaptive_ssg": """\
+experiment,bound_name,K,p,T,bound_value
+gaussian-k4-adaptive-ssg,t7_ssg_adaptive_inf,4,inf,2000,0.0023574181813451043
+gaussian-k4-adaptive-ssg,t7_ssg_adaptive_inf,4,inf,5000,0.0006313094424522407
+gaussian-k4-adaptive-ssg,t7_ssg_adaptive_inf,4,inf,10000,0.00023210627537532588
+gaussian-k4-adaptive-ssg,t7_ssg_adaptive_inf,4,inf,20000,8.509384130259025e-05
+gaussian-k4-adaptive-ssg,t7_ssg_adaptive_inf,4,inf,50000,2.250107238036828e-05
+gaussian-k4-adaptive-ssg,t7_ssg_adaptive_inf,4,inf,100000,8.206196063692253e-06
+""",
+    "rademacher_gaussian_ssg": """\
+experiment,bound_name,K,p,T,bound_value
+rademacher-gaussian-ssg,t7_ssg_adaptive_inf,2,inf,1000,0.02636300969037652
+""",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(BOUNDED_CONFIGS))
+def test_bounds_csv_pinned(stem, tmp_path):
+    out = tmp_path / "bounds.csv"
+    config = SHIPPED_CONFIGS[0].parent / f"{stem}.ini"
+    assert main(["bounds", str(config), "--output", str(out)]) == 0
+    assert out.read_bytes() == BOUNDS_PINS[stem].replace("\n", "\r\n").encode()
+
+
 UNPARSABLE_INIS = {
     "repeated-section": _ini() + "[experiment]\nname = y\n",
     "no-section-header": "name = x\n" + _ini(),
@@ -282,6 +338,16 @@ def test_simulate_rows_pinned(config, tmp_path):
         pinned = [row[1:] for row in csv.reader(handle) if row[0] == config.stem]
     assert CSV_COLUMNS[-1] == "runtime_ms"
     assert rows == pinned
+
+
+@pytest.mark.parametrize("stem", ["gaussian_k4_gsg", "gaussian_k4_adaptive_ssg"])
+def test_simulate_runtime_is_never_zero(stem, tmp_path):
+    # runtime_ms keeps microseconds, so even a sub-millisecond run reads above 0
+    out = tmp_path / "rows.csv"
+    config = SHIPPED_CONFIGS[0].parent / f"{stem}.ini"
+    assert main(["simulate", str(config), "--trials", "4", "--workers", "1",
+                 "--output", str(out)]) == 0
+    assert all(row.runtime_ms > 0 for row in read_csv(str(out)))
 
 
 VALID_ROW = "x,adaptive,ssg,inf,2,400,0,1,0.001,0.01,0.009,,,1,3"
@@ -342,6 +408,24 @@ def test_slopes_rejects_inf_regret_instead_of_nan_slope(tmp_path, capsys):
     assert main(["slopes", path]) == 2
     out, err = capsys.readouterr()
     assert "nan" not in out and "line 4" in err and _names(err, "regret")
+
+
+def test_slopes_names_dropped_horizons(tmp_path, capsys):
+    # a horizon whose mean regret is not positive stays out of the fit, and
+    # `slopes` says so under the slope line
+    def csv_of(table):
+        rows = [_with_cell("T", str(t)).replace("0.001", regret) for t, regret in table]
+        path = tmp_path / f"rows{len(table)}.csv"
+        path.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+        return str(path)
+
+    kept = [(400, "0.004"), (800, "0.002"), (3200, "0.0004"), (6400, "0.0002")]
+    assert main(["slopes", csv_of(kept)]) == 0
+    [slope_line] = capsys.readouterr().out.splitlines()
+    assert main(["slopes", csv_of(kept + [(1600, "-0.001"), (12800, "0")])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        slope_line, "  dropped T=1600, 12800: mean regret <= 0"
+    ]
 
 
 def test_slopes_extra_cell_exit_code(tmp_path, capsys):
