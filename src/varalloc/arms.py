@@ -242,9 +242,5 @@ class ContextualEnv:
         summary of those rounds' (context, reward) rows."""
         ctx = self._next_contexts(m)
         rewards = ctx @ self.betas[k] + sample_reward(self.noise_arms[k], self._noise_rngs[k], m)
-        # the rows are (m, d) and (m,) float arrays already: no `of` conversion
-        return RidgeState(
-            self.spec.dimension, self.spec.lambda_min, m, ctx.T @ ctx, ctx.T @ rewards,
-            _pending=[(ctx, rewards)],
-        )
+        return RidgeState.of(ctx, rewards, self.spec.lambda_min)
 

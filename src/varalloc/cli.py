@@ -28,7 +28,6 @@ from .harness import (
     config_bound,
     load_config,
     oracle_best_allocation,
-    parse_p,
     read_csv,
     run_experiment,
     slope_estimate,
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exhaustive small-instance check")
     oracle.add_argument("profile", type=_variances, help="comma-separated variances, e.g. 1,4")
-    oracle.add_argument("--p", type=parse_p, default="inf")
+    oracle.add_argument("--p", type=float, default="inf")
     oracle.add_argument("--T", type=int, default=30)
     oracle.set_defaults(func=_cmd_oracle)
 

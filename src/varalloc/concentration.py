@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .arms import NoiseRegime, Regime
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError, ContractViolation
 
 # Entries of the radii memo.  The runs of one horizon share their keys, and a
 # fixed bound keeps the memo's memory flat however many horizons a sweep has.
@@ -48,7 +48,7 @@ class RadiusPair:
 
 def _check(n: int, delta: float):
     if n < 2:
-        raise InsufficientDataError(f"radii need n >= 2 observations, got n={n}")
+        raise ContractViolation(f"radii need n >= 2 observations, got n={n}")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
 

@@ -10,11 +10,7 @@ class ConfigurationError(VarallocError):
 
 
 class ContractViolation(VarallocError):
-    """Caller broke an operation precondition (e.g. dimension mismatch)."""
-
-
-class InsufficientDataError(VarallocError):
-    """An estimator or radius was queried with too few observations."""
+    """Caller broke an operation precondition (e.g. a dimension mismatch, or n < 2 samples)."""
 
 
 class SingularSystemError(VarallocError):
@@ -23,7 +19,3 @@ class SingularSystemError(VarallocError):
 
 class DegenerateInputError(VarallocError):
     """Inputs are degenerate for the requested operation (e.g. all-zero weights)."""
-
-
-class InstanceTooLargeError(VarallocError):
-    """Exhaustive oracle was asked for an instance beyond its enumeration limit."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, InsufficientDataError, SingularSystemError
+from .errors import ContractViolation, SingularSystemError
 
 # Relative eigenvalue threshold below which a ridge system counts as singular.
 SINGULARITY_RTOL = 1e-12
@@ -54,7 +54,7 @@ class RunningMoments:
 
     def variance(self) -> float:
         if self.n < 2:
-            raise InsufficientDataError(f"sample variance needs n >= 2, have n={self.n}")
+            raise ContractViolation(f"sample variance needs n >= 2, have n={self.n}")
         return self.m2 / (self.n - 1)
 
     def point(self) -> float:
@@ -208,9 +208,7 @@ class RidgeState:
         """Recentered sample variance of the residuals over the full history:
         one O(n d) scan of the buffered rows."""
         if self.n < 2:
-            raise InsufficientDataError(
-                f"residual variance needs n >= 2, have n={self.n}"
-            )
+            raise ContractViolation(f"residual variance needs n >= 2, have n={self.n}")
         contexts, rewards = self._rows()
         r = rewards - contexts @ np.asarray(beta_hat, dtype=float)
         r -= float(r.sum()) / self.n

@@ -2,9 +2,9 @@
 
 The harness reproduces the regret experiments at desk scale: for each horizon
 and trial it runs one policy, records the realized regret next to the matching
-theoretical leading-term curve, and emits plot-ready CSV rows.  Rows are
-keyed by (horizon, trial) and written in sorted key order, so output is
-deterministic regardless of worker scheduling.
+theoretical leading-term curve, and emits plot-ready CSV rows.  Rows come
+in (horizon, trial) order, the order of the tasks, which the worker pool's
+`map` keeps, so output is deterministic regardless of worker scheduling.
 
 Experiment files are read through one table of sections and keys, each key
 named after the ExperimentConfig field it sets; building an ExperimentConfig
@@ -43,13 +43,19 @@ from .arms import (
     rademacher_arm,
     symmetric_beta_arm,
 )
-from .errors import ConfigurationError, InstanceTooLargeError
-from .policies import _MAX_HORIZON, PolicyConfig, run_adaptive, run_contextual, run_nonadaptive
+from .errors import ConfigurationError
+from .policies import PolicyConfig, run_adaptive, run_contextual, run_nonadaptive
 
 
 def _finite(text: str) -> float:
     if not math.isfinite(value := float(text)):
         raise ValueError(f"not finite: {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise ValueError(f"not positive: {text}")
     return value
 
 
@@ -59,8 +65,8 @@ _CSV_SCHEMA = (
     ("policy", "policy", str),
     ("regime", "regime", str),
     ("p", "p", lambda text: validate_norm_order(float(text))),
-    ("K", "num_arms", int),
-    ("T", "horizon", int),
+    ("K", "num_arms", _positive_int),
+    ("T", "horizon", _positive_int),
     ("trial", "trial", int),
     ("seed", "seed", int),
     ("regret", "regret", _finite),
@@ -147,7 +153,7 @@ def oracle_best_allocation(variances, p: float, horizon: int) -> tuple[int, ...]
     variances = tuple(float(v) for v in variances)
     k = len(variances)
     if horizon > 60 or k > 4:
-        raise InstanceTooLargeError(
+        raise ConfigurationError(
             f"exhaustive search limited to T <= 60, K <= 4 (got T={horizon}, K={k})"
         )
     if horizon < k:
@@ -171,10 +177,7 @@ def slope_estimate(rows, dropped: list | None = None) -> float:
     `dropped` when it is given; fewer than four surviving points is an
     estimation error.
     """
-    by_t: dict[int, list[float]] = {}
-    for row in rows:
-        by_t.setdefault(row.horizon, []).append(row.regret)
-    means = [(t, float(np.mean(rs))) for t, rs in sorted(by_t.items())]
+    means = [(agg["T"], agg["mean_regret"]) for agg in summarize(rows)]
     points = [(t, mean) for t, mean in means if mean > 0]
     if dropped is not None:
         dropped.extend(t for t, mean in means if mean <= 0)
@@ -191,8 +194,8 @@ def slope_estimate(rows, dropped: list | None = None) -> float:
 class ExperimentConfig:
     """One experiment: a policy, a horizon grid, and the sampling model.
 
-    Construction makes every check a trial makes, on two template trials
-    whose per-trial draws sit at the low and at the high end of their ranges.
+    Construction makes every check a trial makes, on template trials at the
+    first and last horizon with each per-trial draw at an end of its range.
     """
 
     name: str = "experiment"
@@ -268,9 +271,8 @@ class ExperimentConfig:
                 )
             if Family.SYMMETRIC_BETA in self.families and self.beta_shapes is None:
                 raise ConfigurationError("symmetric_beta arms need beta_shapes")
-        if horizons[-1] > _MAX_HORIZON:  # the smallest is checked with the templates
-            raise ConfigurationError(f"horizons must not exceed 2**53, got {horizons[-1]}")
         templates = [_policy_config(self, horizons[0], _RangeEnd(high)) for high in (False, True)]
+        _keyed("horizons", _policy_config, self, horizons[-1], _RangeEnd(False))
         for arm, listed in zip(templates[0].arms, self.variances or ()):
             try:  # the listed variance must be the one the arm's family has
                 replace(arm, variance=listed)
@@ -429,21 +431,16 @@ def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
     )
 
 
-def _worker(args) -> Row:
-    return _run_one(*args)
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[Row]:
-    """Run every (horizon, trial) cell; rows come back sorted by key."""
+    """Run every (horizon, trial) cell; rows come back in (horizon, trial) order."""
     tasks = [(cfg, t, i) for t in cfg.horizons for i in range(cfg.trials)]
     workers = min(cfg.workers, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # spares serial runs its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker, tasks, chunksize=8))
+            rows = list(pool.map(_run_one, *zip(*tasks), chunksize=8))
     else:
         rows = [_run_one(*task) for task in tasks]
-    rows.sort(key=lambda r: (r.horizon, r.trial))
     if cfg.output:
         fields = [field for _, field, _ in _CSV_SCHEMA]
         write_csv(cfg.output, CSV_COLUMNS, ([getattr(r, f) for f in fields] for r in rows))
@@ -455,16 +452,12 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
     return str(value)
 
 
 def write_csv(path: str, header, records):
     """A CSV file of the header, then one line per record of cell values:
-    None as empty, bools as 1/0, floats by repr."""
+    None as empty, bools as 1/0, anything else by str (a float's repr)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -492,11 +485,6 @@ def read_csv(path: str) -> list[Row]:
     return rows
 
 
-def parse_p(text: str) -> float:
-    """Norm order from text: a number, or inf / infinity."""
-    return math.inf if text.strip().lower() in ("inf", "infinity") else float(text)
-
-
 def _parse_value_spec(text: str):
     """Either a numeric list or a 'uniform a b' draw-per-trial spec; empty is None."""
     if not text:
@@ -519,7 +507,7 @@ def _flag(text: str) -> bool:
 # section -> key -> parser of its text; each key sets the ExperimentConfig field it names
 _CONFIG_KEYS = {
     "experiment": {
-        "name": str, "policy": str, "trials": int, "seed": int, "p": parse_p, "regime": str,
+        "name": str, "policy": str, "trials": int, "seed": int, "p": float, "regime": str,
         "horizons": lambda text: tuple(map(int, text.split())),
         "bound": _optional(str), "output": _optional(str),
     },
@@ -567,7 +555,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def summarize(rows: list[Row]) -> list[dict]:
-    """Mean/median/quartiles of regret per horizon."""
+    """Mean and median regret, and the trial count, per horizon."""
     out = []
     by_t: dict[int, list[float]] = {}
     for r in rows:
@@ -580,8 +568,6 @@ def summarize(rows: list[Row]) -> list[dict]:
                 "trials": len(regs),
                 "mean_regret": float(regs.mean()),
                 "median_regret": float(np.median(regs)),
-                "q25": float(np.quantile(regs, 0.25)),
-                "q75": float(np.quantile(regs, 0.75)),
             }
         )
     return out

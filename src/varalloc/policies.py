@@ -112,6 +112,14 @@ class PolicyConfig:
         # tau_nonadaptive's own check, made here so that a config fails at load
         if self.lower_bound is not None and self.lower_bound > self.regime.sigma_sq_proxy + 1e-12:
             raise ConfigurationError("lower_bound must not exceed the proxy")
+        # VarianceProfile's checks, made here too so that every config fails at load
+        low = min((arm.variance for arm in self.arms), default=math.inf)
+        if self.lower_bound is not None and self.lower_bound > low + 1e-12:
+            raise ConfigurationError(f"lower_bound must be <= {low}, got {self.lower_bound}")
+        high = max((arm.variance for arm in self.arms), default=0.0)
+        proxy = self.regime.sigma_sq_proxy
+        if proxy is not None and proxy < high - 1e-12:
+            raise ConfigurationError(f"proxy must be >= {high}, got {proxy}")
         if not 1.0 < self.batch_growth < math.inf:
             raise ConfigurationError(
                 f"batch_growth must be finite and exceed 1, got {self.batch_growth}"
@@ -143,7 +151,7 @@ class PolicyTrace:
     pull_order: tuple[tuple[int, int], ...] = ()
 
 
-def phase1_length(regime: Regime, proxy_or_unused: float, horizon: int, num_arms: int) -> int:
+def phase1_length(noise: NoiseRegime, horizon: int, num_arms: int) -> int:
     """Initial per-arm run length when no variance floor is known.
 
     General subgaussian: min(ceil(64 * proxy^2 * log T), T // K); the
@@ -151,10 +159,8 @@ def phase1_length(regime: Regime, proxy_or_unused: float, horizon: int, num_arms
     T // K).  Always at least 2 so the variance estimator is defined.
     """
     log_t = math.log(horizon)
-    if regime == Regime.GSG:
-        if proxy_or_unused is None or proxy_or_unused <= 0:
-            raise ConfigurationError("GSG initial run length needs the variance proxy")
-        formula = 64.0 * proxy_or_unused**2 * log_t
+    if noise.regime == Regime.GSG:
+        formula = 64.0 * noise.sigma_sq_proxy**2 * log_t
     else:
         formula = 18.0 * log_t
     return max(2, min(math.ceil(formula), horizon // num_arms))
@@ -239,7 +245,7 @@ def _phase1(run: _Run) -> tuple[list[int], bool]:
     if cfg.lower_bound is not None:
         start = tau_nonadaptive(cfg.lower_bound, cfg.regime.sigma_sq_proxy, k_arms, horizon, run.q)
     else:
-        start = phase1_length(cfg.regime.regime, cfg.regime.sigma_sq_proxy, horizon, k_arms)
+        start = phase1_length(cfg.regime, horizon, k_arms)
     seed = min(run.seed_pulls, horizon // k_arms)
     start = max(2, seed, min(start, horizon // k_arms))
     for k in range(k_arms):

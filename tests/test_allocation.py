@@ -244,6 +244,12 @@ class TestRounding:
     def test_tie_breaks_to_lowest_index(self):
         assert round_allocation([1 / 3] * 3, 10, [1.0, 1.0, 1.0]) == (4, 3, 3)
 
+    def test_overshoot_taken_back_in_turn(self):
+        # fractions 2e-10 over 1 floor to 200 rounds past the horizon; the
+        # excess comes back one round at a time, lowest priority first
+        counts = round_allocation([0.5 + 2e-10, 0.5], 10**12, [2.0, 1.0])
+        assert counts == (500000000100, 499999999900)
+
     def test_floors_match_numpy_reference(self):
         # the floors are elementwise IEEE arithmetic, exact in either form
         rng = np.random.default_rng(4)

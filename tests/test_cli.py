@@ -191,6 +191,13 @@ BAD_VALUE_INIS = {
         "lower_bound",
         _ini(policy="nonadaptive", variances="3 4", knowledge="lower_bound = 3\nproxy = 2.5"),
     ),
+    # checked without a bound curve too
+    "lower_bound-above-variance": (
+        "lower_bound",
+        _ini(policy="nonadaptive", regime="gsg", variances="1 1.5 2 2.5", means="0 0 0 0",
+             knowledge="lower_bound = 2\nproxy = 2.2"),
+    ),
+    "proxy-below-variance": ("proxy", _ini(regime="gsg", knowledge="proxy = 1.5")),
 }
 
 
@@ -224,7 +231,7 @@ def test_lower_bound_above_proxy_rejected_at_load(tmp_path):
     path.write_text(_ini(policy="nonadaptive", variances="3 4", knowledge=floor.format(3)))
     with pytest.raises(ConfigurationError, match="lower_bound"):
         load_config(str(path))
-    path.write_text(_ini(policy="nonadaptive", variances="3 4", knowledge=floor.format(2.5)))
+    path.write_text(_ini(policy="nonadaptive", variances="2.5 2.5", knowledge=floor.format(2.5)))
     assert load_config(str(path)).lower_bound == 2.5
 
 
@@ -268,6 +275,16 @@ def test_bounds_leaves_the_simulate_csv_alone(tmp_path, monkeypatch):
     assert main(["bounds", str(config)]) == 0
     assert Path(cfg.output).read_bytes() == written
     assert main(["slopes", cfg.output]) == 0
+
+
+def test_bounds_needs_a_bound_over_fixed_variances(tmp_path, capsys):
+    path = tmp_path / "x.ini"
+    path.write_text(_ini())
+    assert main(["bounds", str(path)]) == 2
+    assert "no bound curve" in capsys.readouterr().err
+    # the shipped contextual file draws its noise variances per trial
+    assert main(["bounds", str(SHIPPED_CONFIGS[0].parent / "contextual_k5_ssg.ini")]) == 2
+    assert "fixed variance profile" in capsys.readouterr().err
 
 
 # `bounds --output` of each bounded shipped config, byte for byte
@@ -382,6 +399,9 @@ BAD_NUMBER_CELLS = {
     "p-nan": ("p", "nan"),
     "p-below-one": ("p", "0.5"),
     "good_event-empty": ("good_event", ""),
+    "T-zero": ("T", "0"),
+    "T-negative": ("T", "-400"),
+    "K-zero": ("K", "0"),
 }
 
 

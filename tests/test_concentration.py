@@ -14,7 +14,7 @@ from varalloc.concentration import (
     radius_gsg,
     radius_ssg,
 )
-from varalloc.errors import ConfigurationError, InsufficientDataError
+from varalloc.errors import ConfigurationError, ContractViolation
 
 E_INV = math.exp(-1.0)
 
@@ -77,7 +77,7 @@ class TestRadii:
 
     def test_small_n_rejected(self):
         for radius in (radius_gsg, radius_ssg, radius_gaussian):
-            with pytest.raises(InsufficientDataError):
+            with pytest.raises(ContractViolation):
                 radius(1, 0.1, 1.0)
 
     def test_monotone_in_n_and_delta(self):

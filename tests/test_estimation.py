@@ -15,7 +15,6 @@ from varalloc.estimation import (
 )
 from varalloc.errors import (
     ContractViolation,
-    InsufficientDataError,
     SingularSystemError,
 )
 
@@ -44,7 +43,7 @@ class TestRunningMoments:
         assert m.variance() == 0.0
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ContractViolation):
             RunningMoments().update_many(RunningMoments(1, 1.0)).variance()
 
     @given(
@@ -223,7 +222,7 @@ class TestResidualVariance:
         assert s.residual_variance(beta_hat) == pytest.approx(2.0, abs=0.15)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ContractViolation):
             RidgeState.of([[1.0]], [1.0], 1.0).residual_variance(np.zeros(1))
 
     def test_buffered_history_equals_one_shot(self):

@@ -93,6 +93,23 @@ class TestNonAdaptive:
         with pytest.raises(ConfigurationError):
             run_nonadaptive(_gaussian_cfg((1.0, 2.0), 50, proxy=2.0))
 
+    def test_truth_outside_the_intervals_clears_the_good_event(self):
+        # test_injected_estimates_recover_optimum's draws, whose GSG intervals
+        # are [0, 69.5] and [0, 72.5]
+        a, b = 1 / math.sqrt(2), math.sqrt(2)
+        cfg = _gaussian_cfg((1.0, 4.0), 10, regime=Regime.GSG, proxy=4.0, lower_bound=1.0)
+        for truth, held in (([1.0, 4.0], True), ([1e6, 1e6], False)):
+            env = ScriptedEnv([[a, -a], [b, -b] + [0.0] * 6], true_variances=truth)
+            assert run_nonadaptive(cfg, env).good_event_held is held
+
+    def test_all_zero_estimates_split_uniformly(self):
+        # constant draws give no plug-in shares; the final counts split evenly
+        env = ScriptedEnv([[5.0] * 5, [3.0] * 5], true_variances=[1.0, 1.0])
+        cfg = _gaussian_cfg((1.0, 1.0), 10, regime=Regime.GSG, proxy=49.0, lower_bound=1.0)
+        trace = run_nonadaptive(cfg, env)
+        assert trace.variance_estimates == (0.0, 0.0)
+        assert trace.counts == (5, 5)
+
     def test_budget_identity_and_min_pulls(self):
         for seed in range(5):
             cfg = _gaussian_cfg(
@@ -400,14 +417,14 @@ def test_nonadaptive_ignores_phase3_ucb_mode():
 
 class TestPhaseHelpers:
     def test_phase1_length_gsg(self):
-        assert phase1_length(Regime.GSG, 1.0, 1000, 4) == 250
+        assert phase1_length(NoiseRegime(Regime.GSG, 1.0), 1000, 4) == 250
 
     def test_phase1_length_ssg(self):
-        assert phase1_length(Regime.SSG, None, 1000, 4) == 125
+        assert phase1_length(NoiseRegime(Regime.SSG), 1000, 4) == 125
 
     def test_phase1_length_ssg_growth(self):
-        small = phase1_length(Regime.SSG, None, 10**4, 2)
-        large = phase1_length(Regime.SSG, None, 10**8, 2)
+        small = phase1_length(NoiseRegime(Regime.SSG), 10**4, 2)
+        large = phase1_length(NoiseRegime(Regime.SSG), 10**8, 2)
         assert small == math.ceil(18 * math.log(10**4))
         assert large == math.ceil(18 * math.log(10**8))
 
@@ -480,7 +497,7 @@ class TestPhase1Threshold:
         trace = run_adaptive(cfg)
         assert not trace.truncated
         n_star = _phase1_threshold(regime, delta_schedule(True, p, horizon))
-        start = phase1_length(regime, None, horizon, len(variances))
+        start = phase1_length(NoiseRegime(regime), horizon, len(variances))
         assert trace.phase1_ends == (max(start, n_star),) * len(variances)
 
     def test_starved_run_keeps_round_robin(self):
