@@ -220,10 +220,6 @@ class ContextualEnv:
         self._round = 0
 
     @property
-    def dimension(self) -> int:
-        return self.spec.dimension
-
-    @property
     def true_variances(self) -> list[float]:
         return [a.variance for a in self.noise_arms]
 

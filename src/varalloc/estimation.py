@@ -45,6 +45,9 @@ class RunningMoments:
         nb = other.n
         if nb == 0:
             return self
+        if self.n == 0:  # a copy: the merge below makes inf * 0 = nan of a huge mean
+            self.n, self.mean, self.m2 = nb, other.mean, other.m2
+            return self
         n = self.n + nb
         delta = other.mean - self.mean
         self.m2 += other.m2 + delta * delta * (self.n * nb / n)

@@ -33,9 +33,7 @@ from .allocation import (
 )
 from .arms import (
     ArmSpec,
-    CanonicalEnv,
     ContextSpec,
-    ContextualEnv,
     Family,
     NoiseRegime,
     Regime,
@@ -141,7 +139,13 @@ def bound_value(
     if missing:
         raise ConfigurationError(f"{name} needs {', '.join(missing)}")
     t_exponent, log_exponent = (-1.5, 0.5) if math.isinf(p) else (-2.0, 1.0)
-    return constant(**terms) * float(horizon) ** t_exponent * math.log(horizon) ** log_exponent
+    try:
+        value = constant(**terms) * float(horizon) ** t_exponent * math.log(horizon) ** log_exponent
+    except OverflowError:  # a float ** past the range; * and / give inf instead
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigurationError(f"bound {name} is not finite for this config, got {value}")
+    return value
 
 
 def oracle_best_allocation(variances, p: float, horizon: int) -> tuple[int, ...]:
@@ -400,13 +404,11 @@ def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
 
     start = time.perf_counter()
     policy_cfg = _policy_config(cfg, horizon, rng)
-    if cfg.policy == "contextual":
-        env = ContextualEnv(policy_cfg.betas, policy_cfg.context_spec, policy_cfg.arms, env_seq)
-        trace = run_contextual(policy_cfg, env)
-    else:
-        env = CanonicalEnv(policy_cfg.arms, env_seq)
-        runner = run_nonadaptive if cfg.policy == "nonadaptive" else run_adaptive
-        trace = runner(policy_cfg, env)
+    # the environment is built and the entry looked up here, so that a wrapper
+    # set on this module's run_* names sees every run and times only the run
+    env = policy_cfg.environment(env_seq)
+    run = {"nonadaptive": run_nonadaptive, "adaptive": run_adaptive, "contextual": run_contextual}
+    trace = run[cfg.policy](policy_cfg, env)
     runtime_ms = round(1000.0 * (time.perf_counter() - start), 3)
 
     bound_name, bound = "", None

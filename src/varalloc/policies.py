@@ -103,23 +103,14 @@ class PolicyConfig:
             )
         if self.horizon > _MAX_HORIZON:
             raise ConfigurationError(f"horizon {self.horizon} exceeds 2**53")
-        if self.lower_bound is not None and not 0.0 < self.lower_bound < math.inf:
-            raise ConfigurationError(
-                f"lower_bound must be positive and finite, got {self.lower_bound}"
-            )
-        if self.lower_bound is not None and self.regime.sigma_sq_proxy is None:
+        proxy = self.regime.sigma_sq_proxy
+        if self.lower_bound is not None and proxy is None:
             raise ConfigurationError("a known lower bound also needs the variance proxy")
         # tau_nonadaptive's own check, made here so that a config fails at load
-        if self.lower_bound is not None and self.lower_bound > self.regime.sigma_sq_proxy + 1e-12:
+        if self.lower_bound is not None and self.lower_bound > proxy + 1e-12:
             raise ConfigurationError("lower_bound must not exceed the proxy")
-        # VarianceProfile's checks, made here too so that every config fails at load
-        low = min((arm.variance for arm in self.arms), default=math.inf)
-        if self.lower_bound is not None and self.lower_bound > low + 1e-12:
-            raise ConfigurationError(f"lower_bound must be <= {low}, got {self.lower_bound}")
-        high = max((arm.variance for arm in self.arms), default=0.0)
-        proxy = self.regime.sigma_sq_proxy
-        if proxy is not None and proxy < high - 1e-12:
-            raise ConfigurationError(f"proxy must be >= {high}, got {proxy}")
+        # the floor and the proxy against every arm's variance
+        VarianceProfile(tuple(arm.variance for arm in self.arms), self.lower_bound, proxy)
         if not 1.0 < self.batch_growth < math.inf:
             raise ConfigurationError(
                 f"batch_growth must be finite and exceed 1, got {self.batch_growth}"
@@ -128,6 +119,14 @@ class PolicyConfig:
     @property
     def num_arms(self) -> int:
         return len(self.arms)
+
+    def environment(self, seed=None):
+        """The environment this config runs in, seeded with `seed`, an int or
+        a SeedSequence, or by default with `self.seed`."""
+        seed = self.seed if seed is None else seed
+        if self.context_spec is None:
+            return CanonicalEnv(self.arms, seed)
+        return ContextualEnv(self.betas, self.context_spec, self.arms, seed)
 
 
 @dataclass
@@ -154,16 +153,19 @@ class PolicyTrace:
 def phase1_length(noise: NoiseRegime, horizon: int, num_arms: int) -> int:
     """Initial per-arm run length when no variance floor is known.
 
-    General subgaussian: min(ceil(64 * proxy^2 * log T), T // K); the
-    strictly-subgaussian and Gaussian regimes need only min(ceil(18 log T),
-    T // K).  Always at least 2 so the variance estimator is defined.
+    General subgaussian: min(ceil(64 * proxy^2 * log T), T // K), a formula
+    past the float range counting as infinite; the strictly-subgaussian and
+    Gaussian regimes need only min(ceil(18 log T), T // K).  Always at least
+    2 so the variance estimator is defined.
     """
     log_t = math.log(horizon)
+    formula = 18.0 * log_t
     if noise.regime == Regime.GSG:
-        formula = 64.0 * noise.sigma_sq_proxy**2 * log_t
-    else:
-        formula = 18.0 * log_t
-    return max(2, min(math.ceil(formula), horizon // num_arms))
+        try:
+            formula = 64.0 * noise.sigma_sq_proxy**2 * log_t
+        except OverflowError:
+            formula = math.inf
+    return max(2, math.ceil(min(formula, horizon // num_arms)))  # ceil(inf) would raise
 
 
 def phase2_schedule(current_n: int, target: float, batch_growth: float) -> int:
@@ -195,24 +197,29 @@ def _phase1_threshold(regime: Regime, delta: float) -> int | None:
 
 
 class _Run:
-    """One policy run's state.  `good` is the good event, whether every interval
-    so far held its arm's true variance; `seed_pulls` is what every arm gets
-    before the first phase, `objective_scale` the objective's factor."""
+    """One policy run's state, in `env`, or by default in `cfg.environment()`.
+    `good` is the good event, whether every interval so far held its arm's
+    true variance; `seed_pulls` is what every arm gets before the first phase,
+    `objective_scale` the objective's factor."""
 
-    def __init__(self, cfg: PolicyConfig, env, stats: list, adaptive: bool,
-                 seed_pulls=0, objective_scale=1.0):
+    def __init__(self, cfg: PolicyConfig, env, adaptive: bool):
+        spec = cfg.context_spec
         self.cfg = cfg
-        self.env = env
-        self.stats = stats
+        self.env = cfg.environment() if env is None else env
         self.adaptive = adaptive
-        self.seed_pulls = seed_pulls
-        self.objective_scale = objective_scale
+        if spec is None:
+            self.stats = [RunningMoments() for _ in cfg.arms]
+            self.seed_pulls, self.objective_scale = 0, 1.0
+        else:  # a ridge state is solvable from d rows
+            self.stats = [RidgeState(spec.dimension, spec.lambda_min) for _ in cfg.arms]
+            self.seed_pulls = spec.dimension
+            self.objective_scale = 2.0 * spec.dimension / spec.lambda_min
         self.budget = cfg.horizon
-        self.pulls = [0] * len(stats)
+        self.pulls = [0] * cfg.num_arms
         self.order: list[list[int]] = []
         self.q = q_of_p(cfg.p)
         self.delta = delta_schedule(adaptive, cfg.p, cfg.horizon)
-        self.truth = env.true_variances
+        self.truth = self.env.true_variances
         self.good = True
 
     def draw(self, k: int, m: int) -> int:
@@ -355,34 +362,24 @@ def _run_policy(run: _Run) -> PolicyTrace:
     )
 
 
-def _canonical_run(cfg: PolicyConfig, env, adaptive: bool) -> PolicyTrace:
-    if cfg.context_spec is not None:
-        raise ConfigurationError("the non-adaptive and adaptive policies run on canonical arms")
-    if env is None:
-        env = CanonicalEnv(cfg.arms, cfg.seed)
-    return _run_policy(_Run(cfg, env, [RunningMoments() for _ in cfg.arms], adaptive))
-
-
 def run_nonadaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
     """Fixed-length first phase from the known floor, one plug-in reallocation."""
     if cfg.lower_bound is None:
         raise ConfigurationError("the non-adaptive policy requires a variance lower bound")
-    return _canonical_run(cfg, env, adaptive=False)
+    if cfg.context_spec is not None:
+        raise ConfigurationError("the non-adaptive policy runs on canonical arms")
+    return _run_policy(_Run(cfg, env, adaptive=False))
 
 
 def run_adaptive(cfg: PolicyConfig, env=None) -> PolicyTrace:
     """Three-phase adaptive policy; needs no variance floor."""
-    return _canonical_run(cfg, env, adaptive=True)
+    if cfg.context_spec is not None:
+        raise ConfigurationError("the adaptive policy runs on canonical arms")
+    return _run_policy(_Run(cfg, env, adaptive=True))
 
 
 def run_contextual(cfg: PolicyConfig, env=None) -> PolicyTrace:
     """Adaptive policy over linear rewards with residual variance estimates."""
     if cfg.context_spec is None:
         raise ConfigurationError("the contextual policy needs a contextual config")
-    if env is None:
-        env = ContextualEnv(cfg.betas, cfg.context_spec, cfg.arms, cfg.seed)
-    d, lambda_min = env.dimension, cfg.context_spec.lambda_min
-    stats = [RidgeState(d, lambda_min) for _ in range(cfg.num_arms)]
-    # a ridge state is solvable from d rows
-    run = _Run(cfg, env, stats, True, seed_pulls=d, objective_scale=2.0 * d / lambda_min)
-    return _run_policy(run)
+    return _run_policy(_Run(cfg, env, adaptive=True))

@@ -43,7 +43,8 @@ from .arms import (
 from .policies import PolicyConfig, run_adaptive, run_contextual, run_nonadaptive
 
 
-def _random_canonical_cfg(rng) -> tuple[PolicyConfig, str]:
+def _random_canonical_cfg(rng):
+    """A random canonical config and the policy entry that runs it."""
     k = int(rng.integers(2, 5))
     variances = np.round(rng.uniform(0.5, 4.0, k), 3)
     kind = rng.choice(["gaussian", "rademacher_mix", "beta"])
@@ -60,10 +61,10 @@ def _random_canonical_cfg(rng) -> tuple[PolicyConfig, str]:
     lower = min(true_vars)
     proxy = max(true_vars) * float(rng.uniform(1.0, 1.5))
     regime_kind = "ssg" if kind != "gaussian" else str(rng.choice(["ssg", "gaussian"]))
-    policy = str(rng.choice(["nonadaptive", "adaptive"]))
+    policy = rng.choice([run_nonadaptive, run_adaptive])
     horizon = int(rng.integers(40 * k, 1500))
     p = float(rng.choice([1.0, 2.0, math.inf]))
-    knows = policy == "nonadaptive" or horizon < 800 or bool(rng.integers(0, 2))
+    knows = policy is run_nonadaptive or horizon < 800 or bool(rng.integers(0, 2))
     return (
         PolicyConfig(
             horizon=horizon,
@@ -79,7 +80,8 @@ def _random_canonical_cfg(rng) -> tuple[PolicyConfig, str]:
     )
 
 
-def _random_contextual_cfg(rng) -> PolicyConfig:
+def _random_contextual_cfg(rng):
+    """A random contextual config and `run_contextual`."""
     k = int(rng.integers(2, 4))
     dim = int(rng.integers(2, 4))
     betas = tuple(tuple(float(b) for b in rng.uniform(-2, 2, dim)) for _ in range(k))
@@ -93,18 +95,10 @@ def _random_contextual_cfg(rng) -> PolicyConfig:
         arms=tuple(gaussian_arm(0.0, float(v)) for v in noise_vars),
         lower_bound=float(noise_vars.min()),
         seed=int(rng.integers(0, 2**31)),
-    )
+    ), run_contextual
 
 
-def _run(cfg: PolicyConfig, policy: str):
-    if policy == "nonadaptive":
-        return run_nonadaptive(cfg)
-    if policy == "adaptive":
-        return run_adaptive(cfg)
-    return run_contextual(cfg)
-
-
-def _check_trace(cfg: PolicyConfig, policy: str, trace, failures: list[str], tag: str):
+def _check_trace(cfg: PolicyConfig, policy, trace, failures: list[str], tag: str):
     if sum(trace.counts) != cfg.horizon:
         failures.append(f"{tag}: budget identity broken ({sum(trace.counts)} != {cfg.horizon})")
     per_arm = [0] * len(trace.counts)
@@ -120,7 +114,7 @@ def _check_trace(cfg: PolicyConfig, policy: str, trace, failures: list[str], tag
         e > s for e, s in zip(trace.phase1_ends, trace.stopping_times)
     ):
         failures.append(f"{tag}: phase boundaries decreased")
-    if policy != "nonadaptive" and trace.good_event_held and not trace.truncated:
+    if policy is not run_nonadaptive and trace.good_event_held and not trace.truncated:
         variances = [a.variance for a in cfg.arms]
         plan = optimal_allocation(VarianceProfile(tuple(variances)), cfg.p, cfg.horizon)
         k_arms = len(variances)
@@ -201,16 +195,12 @@ def run_selftest(
         tag = f"config {i}"
         _check_share_function(rng, failures, tag)
         contextual = i % 8 == 0
-        if contextual:
-            cfg = _random_contextual_cfg(rng)
-            policy = "contextual"
-        else:
-            cfg, policy = _random_canonical_cfg(rng)
-        trace = _run(cfg, policy)
+        cfg, policy = (_random_contextual_cfg if contextual else _random_canonical_cfg)(rng)
+        trace = policy(cfg)
         record(trace)
         _check_trace(cfg, policy, trace, failures, tag)
         if i % 10 == 0:
-            again = _run(cfg, policy)
+            again = policy(cfg)
             record(again)
             if dataclasses.astuple(again) != dataclasses.astuple(trace):
                 failures.append(f"{tag}: rerun with the same seed diverged")

@@ -69,6 +69,11 @@ class TestRunningMoments:
         assert m.update_many(RunningMoments()) == RunningMoments(4, 1.5, 3.0)
         assert RunningMoments().update_many(m) == m
 
+    def test_merge_into_empty_keeps_a_large_mean(self):
+        # the merge's delta^2 * (0 * nb / n) is inf * 0 = nan past |mean| ~ 1.3e154
+        m = RunningMoments(4, -1e300, 3.0)
+        assert RunningMoments().update_many(m) == m
+
     def test_merge_cancellation_at_large_offset(self):
         # a naive sum-of-squares merge loses every digit of the variance here
         rng = np.random.default_rng(41)

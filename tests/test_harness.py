@@ -81,6 +81,21 @@ class TestBoundCurves:
             bound_value("t1_inf", VarianceProfile((1.0, 2.0), 1.0, 2.0), 2, 100, 1.0)
 
 
+    @pytest.mark.parametrize(
+        "name, p, profile",
+        [
+            ("t3_finite", 2.0, VarianceProfile((1e-200, 1.0), proxy=1.0)),  # power_sum(-4)
+            ("t3_finite", 2.0, VarianceProfile((1.0, 2.0), proxy=1e200)),  # proxy**2
+            ("t1_inf", INF, VarianceProfile((1.0, 2.0), lower_bound=1e-300, proxy=2.0)),
+            ("t1_inf", INF, VarianceProfile((1.0, 2.0), lower_bound=1.0, proxy=1e300)),
+        ],
+        ids=["t3-tiny-variance", "t3-huge-proxy", "t1-tiny-floor", "t1-huge-proxy"],
+    )
+    def test_bound_past_the_float_range_rejected(self, name, p, profile):
+        with pytest.raises(ConfigurationError, match=name):
+            bound_value(name, profile, 2, 1000, p)
+
+
 class TestOracle:
     def test_known_optima(self):
         assert oracle_best_allocation((1.0, 4.0), INF, 10) == (2, 8)

@@ -233,6 +233,30 @@ def test_horizon_past_2_53_rejected():
             replace(cfg, horizon=horizon)
 
 
+@pytest.mark.parametrize(
+    "make_seed", [None, lambda: 7, lambda: np.random.SeedSequence([7, 400, 1])],
+    ids=["default", "int", "SeedSequence"],
+)
+def test_environment_draws_what_a_direct_env_draws(make_seed):
+    # a SeedSequence is spent by spawning, so each side gets a fresh one
+    seed = make_seed or (lambda: 3)
+    canonical = _gaussian_cfg((1.0, 2.0), 400, seed=3)
+    contextual = _contextual_cfg(400, seed=3)
+    envs = [
+        (canonical, CanonicalEnv(canonical.arms, seed())),
+        (contextual, ContextualEnv(contextual.betas, contextual.context_spec, contextual.arms, seed())),
+    ]
+    for cfg, direct in envs:
+        env = cfg.environment() if make_seed is None else cfg.environment(seed())
+        assert type(env) is type(direct) and env.true_variances == direct.true_variances
+        for k, m in [(0, 5), (1, 3), (0, 1), (1, 2)]:
+            got, want = env.pull(k, m), direct.pull(k, m)
+            if isinstance(got, RunningMoments):
+                assert got == want
+            else:
+                assert np.array_equal(got.gram, want.gram) and np.array_equal(got.xty, want.xty)
+
+
 class TestContextual:
 
     def test_requires_p_one(self):
@@ -428,6 +452,18 @@ class TestPhaseHelpers:
         assert small == math.ceil(18 * math.log(10**4))
         assert large == math.ceil(18 * math.log(10**8))
 
+    def test_phase1_length_gsg_proxy_past_the_square_range(self):
+        # proxy**2 overflows; the formula is then infinite and the cap T // K holds
+        assert phase1_length(NoiseRegime(Regime.GSG, 1e200), 1000, 4) == 250
+
+    @pytest.mark.parametrize("proxy", [1e-3, 0.5, 2.5, 1e3, 1e150])
+    def test_phase1_length_gsg_is_ceil_then_cap(self, proxy):
+        for horizon in (10, 1000, 10**6, 2**53):
+            for k in (1, 3, 7):
+                formula = math.ceil(64.0 * proxy**2 * math.log(horizon))
+                want = max(2, min(formula, horizon // k))
+                assert phase1_length(NoiseRegime(Regime.GSG, proxy), horizon, k) == want
+
     def test_phase2_schedule_doubling(self):
         assert phase2_schedule(10, 100.0, 2.0) == 20
 
@@ -523,27 +559,34 @@ def test_horizon_is_a_parameter_not_a_loop_count():
 
 
 def _pull_count_cases():
+    item_2 = pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
     for policy in (run_nonadaptive, run_adaptive):
         for regime in (Regime.SSG, Regime.GAUSSIAN, Regime.GSG):
             for horizon in (10**4, 10**6, 10**9):
                 for p in (INF, 2.0):
                     # a failing GSG arm tops up one pull at a time
                     starved = policy is run_adaptive and regime == Regime.GSG and horizon > 10**4
-                    marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 2")] if starved else []
                     yield pytest.param(
-                        policy, regime, horizon, p, marks=marks,
+                        policy, regime, horizon, p, 1.0 if policy is run_nonadaptive else None,
+                        marks=[item_2] if starved else [],
                         id=f"{policy.__name__}-{regime.value}-{horizon:.0e}-p{p:g}",
                     )
+    # a known floor starts phase 1 at tau_nonadaptive, and failing arms still
+    # top up one pull at a time
+    for p in (INF, 2.0):
+        yield pytest.param(
+            run_adaptive, Regime.GSG, 10**4, p, 1.0, marks=[item_2],
+            id=f"run_adaptive-gsg-1e+04-p{p:g}-known-floor",
+        )
 
 
-@pytest.mark.parametrize("policy, regime, horizon, p", _pull_count_cases())
-def test_pull_segments_grow_like_log_horizon(policy, regime, horizon, p, monkeypatch):
+@pytest.mark.parametrize("policy, regime, horizon, p, lower_bound", _pull_count_cases())
+def test_pull_segments_grow_like_log_horizon(policy, regime, horizon, p, lower_bound, monkeypatch):
     # the cost model: a run makes O(K log T) environment pulls, whatever T
     pulls = []
     pull = CanonicalEnv.pull
     monkeypatch.setattr(CanonicalEnv, "pull", lambda env, k, m=1: pulls.append(m) or pull(env, k, m))
     variances = (1.0, 1.5, 2.0, 2.5)
-    lower_bound = 1.0 if policy is run_nonadaptive else None
     cfg = _gaussian_cfg(variances, horizon, p, regime, proxy=2.5, seed=1, lower_bound=lower_bound)
     assert sum(policy(cfg).counts) == sum(pulls) == horizon
     assert len(pulls) <= 2 * len(variances) * math.log2(horizon) + 16
@@ -558,12 +601,12 @@ from varalloc.arms import NoiseRegime, Regime
 
 def probe(seed):
     rng = np.random.default_rng(seed)
-    runs = [(selftest._random_contextual_cfg(rng), "contextual")]
+    runs = [selftest._random_contextual_cfg(rng)]
     for _ in range(12):
         cfg, policy = selftest._random_canonical_cfg(rng)
         gsg = NoiseRegime(Regime.GSG, cfg.regime.sigma_sq_proxy)
         runs += [(cfg, policy), (dataclasses.replace(cfg, regime=gsg), policy)]
-    return [repr(dataclasses.astuple(selftest._run(cfg, policy))) for cfg, policy in runs]
+    return [repr(dataclasses.astuple(policy(cfg))) for cfg, policy in runs]
 """
 
 
