@@ -28,11 +28,12 @@ def validate_norm_order(p: float) -> float:
 
 
 def q_of_p(p: float) -> float:
-    """Allocation exponent: 2p/(p+1) for finite p, 2 at p = infinity."""
+    """Allocation exponent: 2p/(p+1) for finite p, 2 at p = infinity; the
+    ratio comes first, so 2p cannot overflow."""
     p = validate_norm_order(p)
     if math.isinf(p):
         return 2.0
-    return 2.0 * p / (p + 1.0)
+    return 2.0 * (p / (p + 1.0))
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,9 @@ def optimal_objective(profile: VarianceProfile, p: float, horizon: int) -> float
 
 
 def plugin_weights(variance_estimates, q: float) -> np.ndarray:
-    """Normalized q/2 powers of variance estimates: the plug-in shares, or the
-    optimistic ones when the estimates are UCBs.  The powers are taken on
-    Python floats, as in `adaptive_weight`, so shares do not depend on which
-    vectorized pow the local numpy dispatches to."""
+    """Normalized q/2 powers of variance estimates: the plug-in shares.  The
+    powers are taken on Python floats, as in `adaptive_weight`, so shares do
+    not depend on which vectorized pow the local numpy dispatches to."""
     est = [float(v) for v in variance_estimates]
     if any(v < 0 for v in est):
         raise ContractViolation("variance estimates must be nonnegative")

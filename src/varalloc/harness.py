@@ -218,9 +218,6 @@ class ExperimentConfig:
     lower_bound: float | None = None
     proxy: float | None = None
     knows_lower_bound: bool = False
-    # policy knobs
-    phase3_ucb: bool = False
-    batch_growth: float = 2.0
     # contextual model
     num_arms: int | None = None
     dim: int | None = None
@@ -263,6 +260,10 @@ class ExperimentConfig:
         if self.policy == "contextual":
             if self.num_arms is None or self.dim is None or min(self.num_arms, self.dim) < 1:
                 raise ConfigurationError("contextual experiments need num_arms >= 1 and dim >= 1")
+            # |beta . c| <= reach, and a run sums up to T squared residuals of that size
+            reach = max(-self.beta_low, self.beta_high) * math.sqrt(3.0) * self.dim
+            if not math.isfinite(reach * reach * horizons[-1]):
+                raise ConfigurationError(f"beta_low, beta_high: rewards up to {reach:g} overflow")
         elif not self.variances or isinstance(self.variances, str):
             raise ConfigurationError(
                 f"canonical experiments need variances, one per arm, got {self.variances!r}"
@@ -380,8 +381,6 @@ def _policy_config(cfg: ExperimentConfig, horizon: int, rng) -> PolicyConfig:
         p=cfg.p,
         regime=NoiseRegime(Regime(cfg.regime), cfg.proxy),
         lower_bound=cfg.lower_bound if cfg.knows_lower_bound else None,
-        phase3_ucb_mode=cfg.phase3_ucb,
-        batch_growth=cfg.batch_growth,
     )
     if cfg.policy != "contextual":
         means = _values(cfg.means, len(cfg.variances), "means", rng)
@@ -500,12 +499,6 @@ def _optional(parse):
     return lambda text: parse(text) if text else None
 
 
-def _flag(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return text.lower() == "true"
-
-
 # section -> key -> parser of its text; each key sets the ExperimentConfig field it names
 _CONFIG_KEYS = {
     "experiment": {
@@ -520,7 +513,6 @@ _CONFIG_KEYS = {
         "beta_shapes": _parse_value_spec,
     },
     "knowledge": {"lower_bound": _optional(float), "proxy": _optional(float)},
-    "policy": {"phase3_ucb": _flag, "batch_growth": float},
     "contextual": {
         "num_arms": _optional(int), "dim": _optional(int), "lambda_min": float,
         "beta_low": float, "beta_high": float, "noise_variances": _parse_value_spec,

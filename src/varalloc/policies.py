@@ -73,7 +73,8 @@ class PolicyConfig:
     """Inputs of one policy run.  Every run sets `arms`; a contextual run also
     sets `betas` and `context_spec`, and its arms are the mean-zero noise.
     `lower_bound` is a known floor on every variance, or None when the floor
-    is unknown."""
+    is unknown.  Every run doubles counts in phase 2 and takes plug-in shares
+    in phase 3."""
 
     horizon: int
     p: float
@@ -82,8 +83,6 @@ class PolicyConfig:
     betas: tuple[tuple[float, ...], ...] | None = None
     context_spec: ContextSpec | None = None
     lower_bound: float | None = None
-    phase3_ucb_mode: bool = False
-    batch_growth: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -111,10 +110,6 @@ class PolicyConfig:
             raise ConfigurationError("lower_bound must not exceed the proxy")
         # the floor and the proxy against every arm's variance
         VarianceProfile(tuple(arm.variance for arm in self.arms), self.lower_bound, proxy)
-        if not 1.0 < self.batch_growth < math.inf:
-            raise ConfigurationError(
-                f"batch_growth must be finite and exceed 1, got {self.batch_growth}"
-            )
 
     @property
     def num_arms(self) -> int:
@@ -168,11 +163,11 @@ def phase1_length(noise: NoiseRegime, horizon: int, num_arms: int) -> int:
     return max(2, math.ceil(min(formula, horizon // num_arms)))  # ceil(inf) would raise
 
 
-def phase2_schedule(current_n: int, target: float, batch_growth: float) -> int:
-    """Next sample size at which the stopping condition is re-checked."""
-    return min(
-        math.ceil(target), max(current_n + 1, math.ceil(current_n * batch_growth))
-    )
+def phase2_schedule(current_n: int, target: float) -> int:
+    """Next sample size at which the stopping condition is re-checked: the
+    count doubles, capped at the target.  Phase 2 starts once every arm has
+    at least 2 pulls, so doubling always adds a pull."""
+    return min(math.ceil(target), 2 * current_n)
 
 
 def _phase1_ok(lcb: float, ucb: float) -> bool:
@@ -281,7 +276,7 @@ def _phase1(run: _Run) -> tuple[list[int], bool]:
 
 def _phase2(run: _Run) -> tuple[list[int], bool]:
     """Elimination sweeps: pull active arms toward their shares, re-check."""
-    cfg, k_arms, horizon = run.cfg, run.cfg.num_arms, run.cfg.horizon
+    k_arms, horizon = run.cfg.num_arms, run.cfg.horizon
     active = set(range(k_arms))
     shares = [run.pulls[k] / horizon for k in range(k_arms)]
     stopping = list(run.pulls)
@@ -291,7 +286,7 @@ def _phase2(run: _Run) -> tuple[list[int], bool]:
         for k in sorted(active):
             target = shares[k] * horizon
             if run.pulls[k] < target - 1e-9:
-                run.draw(k, phase2_schedule(run.pulls[k], target, cfg.batch_growth) - run.pulls[k])
+                run.draw(k, phase2_schedule(run.pulls[k], target) - run.pulls[k])
         bounds = [run.interval(k) for k in range(k_arms)]
         for k in range(k_arms):
             others = [bounds[j][1] for j in range(k_arms) if j != k]
@@ -308,20 +303,14 @@ def _phase2(run: _Run) -> tuple[list[int], bool]:
 
 
 def _phase3(run: _Run) -> tuple[list[float], bool]:
-    """Final shares, rounded to counts that sum to the horizon; arms are pulled
-    up to their counts, highest estimated variance first.  Returns the variance
-    estimates and whether some arm was already past its count."""
+    """Plug-in final shares from the variance estimates, uniform when every
+    estimate is zero, rounded to counts that sum to the horizon; arms are
+    pulled up to their counts, highest estimated variance first.  Returns the
+    variance estimates and whether some arm was already past its count."""
     k_arms = run.cfg.num_arms
     sigma_hats = [stats.variance() for stats in run.stats]
-    shares_from = sigma_hats
-    if run.adaptive and run.cfg.phase3_ucb_mode:
-        ucbs = [run.interval(k)[1] for k in range(k_arms)]
-        # intervals can still be one-sided if the run starved in its first
-        # phase; keep the plug-in shares then
-        if all(math.isfinite(u) and u > 0 for u in ucbs):
-            shares_from = ucbs
     try:
-        weights = plugin_weights(shares_from, run.q)
+        weights = plugin_weights(sigma_hats, run.q)
     except DegenerateInputError:
         weights = np.full(k_arms, 1.0 / k_arms)
     counts = round_allocation(weights, run.cfg.horizon, sigma_hats)
@@ -333,8 +322,7 @@ def _phase3(run: _Run) -> tuple[list[float], bool]:
 
 def _run_policy(run: _Run) -> PolicyTrace:
     """The skeleton every policy shares.  The non-adaptive variant keeps the
-    first phase at its fixed length, has no second phase, and always uses
-    plug-in final shares."""
+    first phase at its fixed length and has no second phase."""
     cfg, scale = run.cfg, run.objective_scale
     phase1_ends, starved = _phase1(run)
     if run.adaptive and not starved:

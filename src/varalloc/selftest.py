@@ -72,8 +72,6 @@ def _random_canonical_cfg(rng):
             regime=NoiseRegime(Regime(regime_kind), proxy),
             arms=tuple(arms),
             lower_bound=lower if knows else None,
-            phase3_ucb_mode=bool(rng.integers(0, 2)) and math.isinf(p),
-            batch_growth=float(rng.uniform(1.5, 3.0)),
             seed=int(rng.integers(0, 2**31)),
         ),
         policy,

@@ -1,6 +1,7 @@
 """Allocation math: optimality, rounding, weights, and their invariants."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ def test_q_of_p_values():
     assert q_of_p(INF) == 2.0
     assert q_of_p(1.0) == 1.0
     assert q_of_p(3.0) == 1.5
+    for p in (1e308, sys.float_info.max):  # 2p overflows past about 9e307
+        assert 1.0 < q_of_p(p) <= 2.0
 
 
 def test_norm_order_restricted():
@@ -180,8 +183,7 @@ class TestWeights:
             plan = optimal_allocation(VarianceProfile(tuple(variances)), 2.0, 100)
             assert list(plan.fractions) == want
 
-    def test_phase3_ucb_values(self):
-        # the optimistic final shares are the plug-in rule applied to UCBs
+    def test_plugin_weights_values(self):
         np.testing.assert_allclose(plugin_weights((2.0, 8.0), 2.0), (0.2, 0.8))
         np.testing.assert_allclose(plugin_weights((5.0, 5.0), 1.0), (0.5, 0.5))
         np.testing.assert_allclose(plugin_weights((2.0 + 0.7, 2.0 + 0.7), 2.0), (0.5, 0.5))

@@ -260,9 +260,6 @@ regime = ssg
 families = gaussian rademacher
 variances = 4 1
 means = 0 0
-
-[policy]
-batch_growth = 2.5
 """
         path = tmp_path / "demo.ini"
         path.write_text(text)
@@ -272,7 +269,6 @@ batch_growth = 2.5
         assert cfg.horizons == (400, 800)
         assert cfg.families == ("gaussian", "rademacher")
         assert cfg.variances == (4.0, 1.0)
-        assert cfg.batch_growth == 2.5
         assert not cfg.knows_lower_bound
         rows = run_experiment(cfg)
         assert len(rows) == 6

@@ -192,11 +192,6 @@ class TestAdaptive:
         assert trace.truncated
         assert trace.counts == (500, 500, 500, 500)
 
-    def test_phase3_ucb_mode_runs(self):
-        cfg = _gaussian_cfg((1.0, 3.0), 400, phase3_ucb_mode=True, seed=2)
-        trace = run_adaptive(cfg)
-        assert sum(trace.counts) == 400
-
     def test_linear_share_convergence(self):
         # counts/T approach the optimal shares as the horizon grows
         variances = (1.0, 1.5, 2.0, 2.5)
@@ -369,19 +364,15 @@ PINNED = {
             good_event_held=True,
         ),
     ),
-    "adaptive-gaussian-ucb": (
-        lambda: run_adaptive(
-            _gaussian_cfg(
-                (1.0, 3.0), 1500, regime=Regime.GAUSSIAN, phase3_ucb_mode=True, seed=22
-            )
-        ),
+    "adaptive-gaussian": (
+        lambda: run_adaptive(_gaussian_cfg((1.0, 3.0), 1500, regime=Regime.GAUSSIAN, seed=22)),
         dict(
-            counts=(533, 967),
+            counts=(372, 1128),
             phase1_ends=(132, 132),
             stopping_times=(182, 747),
             pull_order=(
                 (0, 132), (1, 528), (0, 20), (1, 116), (0, 18), (1, 43), (0, 5),
-                (1, 41), (0, 6), (1, 17), (0, 1), (1, 222), (0, 351),
+                (1, 41), (0, 6), (1, 17), (0, 1), (1, 383), (0, 190),
             ),
             truncated=False,
             budget_clamped=False,
@@ -431,14 +422,6 @@ def test_pinned_trace(name):
     assert {field: getattr(trace, field) for field in want} == want
 
 
-def test_nonadaptive_ignores_phase3_ucb_mode():
-    cfg = _gaussian_cfg(
-        (1.0, 2.0, 4.0), 400, regime=Regime.GAUSSIAN, proxy=4.0,
-        lower_bound=1.0, seed=9,
-    )
-    assert run_nonadaptive(cfg) == run_nonadaptive(replace(cfg, phase3_ucb_mode=True))
-
-
 class TestPhaseHelpers:
     def test_phase1_length_gsg(self):
         assert phase1_length(NoiseRegime(Regime.GSG, 1.0), 1000, 4) == 250
@@ -465,13 +448,10 @@ class TestPhaseHelpers:
                 assert phase1_length(NoiseRegime(Regime.GSG, proxy), horizon, k) == want
 
     def test_phase2_schedule_doubling(self):
-        assert phase2_schedule(10, 100.0, 2.0) == 20
+        assert phase2_schedule(10, 100.0) == 20
 
     def test_phase2_schedule_capped(self):
-        assert phase2_schedule(10, 12.0, 2.0) == 12
-
-    def test_phase2_schedule_unit_growth_limit(self):
-        assert phase2_schedule(10, 100.0, 1.000001) == 11
+        assert phase2_schedule(10, 12.0) == 12
 
 
 class TestConfigValidation:

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import varalloc
-from varalloc.harness import BOUND_NAMES
+from varalloc.harness import _CONFIG_KEYS, BOUND_NAMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +25,11 @@ def test_readme_names_every_export():
 def test_readme_lists_every_bound():
     text = README.read_text(encoding="utf-8")
     assert [name for name in BOUND_NAMES if f"`{name}`" not in text] == []
+
+
+def test_readme_lists_the_config_keys():
+    # one bullet per section: `[section]`: then its keys, comma-separated
+    text = README.read_text(encoding="utf-8")
+    bullets = re.findall(r"^- `\[(\w+)\]`: (`\w+`(?:,\s+`\w+`)*)", text, re.M)
+    listed = {section: set(re.findall(r"`(\w+)`", keys)) for section, keys in bullets}
+    assert listed == {section: set(keys) for section, keys in _CONFIG_KEYS.items()}
