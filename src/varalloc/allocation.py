@@ -130,11 +130,18 @@ def optimal_allocation(profile: VarianceProfile, p: float, horizon: int) -> Allo
     q = q_of_p(p)
     if horizon < profile.num_arms:
         raise ConfigurationError("horizon must be at least the number of arms")
-    fractions = plugin_weights(profile.variances, q)
+    variances = profile.variances
+    fractions = plugin_weights(variances, q)
     floors = np.maximum(np.floor(fractions * horizon + _FLOOR_EPS), 1.0)
-    priority = np.asarray(profile.variances) / floors
-    counts = round_allocation(fractions, horizon, priority)
-    return AllocationPlan(tuple(float(f) for f in fractions), counts, horizon)
+    counts = list(round_allocation(fractions, horizon, np.asarray(variances) / floors))
+    # A share below 1/T can round to 0 pulls, where the objective is undefined;
+    # such an arm takes one pull from the arm whose error v/(n - 1) grows least.
+    for k in [k for k, n in enumerate(counts) if n == 0]:
+        donor = min((j for j, n in enumerate(counts) if n > 1),
+                    key=lambda j: variances[j] / (counts[j] - 1))
+        counts[donor] -= 1
+        counts[k] = 1
+    return AllocationPlan(tuple(float(f) for f in fractions), tuple(counts), horizon)
 
 
 def objective_rp(counts, true_variances, p: float) -> float:
@@ -171,12 +178,22 @@ def plugin_weights(variance_estimates, q: float) -> np.ndarray:
     if any(v < 0 for v in est):
         raise ContractViolation("variance estimates must be nonnegative")
     powers = [v ** (q / 2.0) for v in est]
-    total = 0.0
-    for x in powers:  # a plain loop: sum() compensates from Python 3.12 on
-        total += x
+    total = _plain_sum(powers)
+    if total == math.inf:  # finite powers whose sum passes the float range
+        top = max(powers)
+        powers = [x / top for x in powers]
+        total = _plain_sum(powers)
     if total <= 0.0:
         raise DegenerateInputError("all variance estimates are zero")
     return np.array(powers) / total
+
+
+def _plain_sum(values) -> float:
+    """Left-to-right float sum; sum() compensates from Python 3.12 on."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def adaptive_weight(lcb_k: float, ucb_others, q: float) -> float:
@@ -188,10 +205,7 @@ def adaptive_weight(lcb_k: float, ucb_others, q: float) -> float:
         raise ContractViolation("ucb values must be positive")
     half = q / 2.0
     own = lcb_k**half
-    rest = 0.0
-    for u in others:  # a plain loop: sum() compensates from Python 3.12 on
-        rest += u**half
-    total = own + rest
+    total = own + _plain_sum(u**half for u in others)
     return float(own / total) if total > 0.0 else math.nan  # 0/0: a lone arm at lcb 0
 
 

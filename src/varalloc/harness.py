@@ -42,7 +42,7 @@ from .arms import (
     symmetric_beta_arm,
 )
 from .errors import ConfigurationError
-from .policies import PolicyConfig, run_adaptive, run_contextual, run_nonadaptive
+from .policies import PolicyConfig, check_horizon, run_adaptive, run_contextual, run_nonadaptive
 
 
 def _finite(text: str) -> float:
@@ -260,6 +260,8 @@ class ExperimentConfig:
         if self.policy == "contextual":
             if self.num_arms is None or self.dim is None or min(self.num_arms, self.dim) < 1:
                 raise ConfigurationError("contextual experiments need num_arms >= 1 and dim >= 1")
+            for horizon in (horizons[0], horizons[-1]):  # before any (num_arms, dim) draw
+                _keyed("horizons", check_horizon, horizon, self.num_arms, self.dim)
             # |beta . c| <= reach, and a run sums up to T squared residuals of that size
             reach = max(-self.beta_low, self.beta_high) * math.sqrt(3.0) * self.dim
             if not math.isfinite(reach * reach * horizons[-1]):

@@ -94,14 +94,8 @@ class PolicyConfig:
                 raise ConfigurationError("one beta vector per arm required")
             if self.p != 1.0:
                 raise ConfigurationError("the contextual policy is defined for p = 1")
-        # every arm's first pulls: 2 for a sample variance, d for a ridge state
-        first = 2 if self.context_spec is None else max(2, self.context_spec.dimension)
-        if self.horizon < first * self.num_arms:
-            raise ConfigurationError(
-                f"horizon {self.horizon} too small for {self.num_arms} arms (need >= {first}K)"
-            )
-        if self.horizon > _MAX_HORIZON:
-            raise ConfigurationError(f"horizon {self.horizon} exceeds 2**53")
+        spec = self.context_spec
+        check_horizon(self.horizon, self.num_arms, None if spec is None else spec.dimension)
         proxy = self.regime.sigma_sq_proxy
         if self.lower_bound is not None and proxy is None:
             raise ConfigurationError("a known lower bound also needs the variance proxy")
@@ -122,6 +116,21 @@ class PolicyConfig:
         if self.context_spec is None:
             return CanonicalEnv(self.arms, seed)
         return ContextualEnv(self.betas, self.context_spec, self.arms, seed)
+
+
+def check_horizon(horizon: int, num_arms: int, dim: int | None = None):
+    """Reject a horizon that cannot hold every arm's first pulls, 2 for a
+    sample variance and max(2, dim) for a ridge state, or that the objective's
+    float counts cannot hold.  Integer arithmetic only, so any int is checked."""
+    if dim is None and horizon < 2 * num_arms:
+        raise ConfigurationError(f"horizon {horizon} too small for {num_arms} arms (need >= 2K)")
+    if dim is not None and horizon < max(2, dim) * num_arms:
+        raise ConfigurationError(
+            f"horizon {horizon} too small for {num_arms} arms of dim {dim} "
+            "(need >= max(2, dim) * K)"
+        )
+    if horizon > _MAX_HORIZON:
+        raise ConfigurationError(f"horizon {horizon} exceeds 2**53")
 
 
 @dataclass

@@ -72,6 +72,22 @@ class TestOptimalAllocation:
         )
         assert base.fractions == pytest.approx(scaled.fractions, rel=1e-9)
 
+    def test_small_share_still_counted(self):
+        # the share 0.2 of T = 4 floors to 0; every arm keeps one pull when T >= K
+        plan = optimal_allocation(VarianceProfile((1.0, 4.0)), INF, 4)
+        assert plan.counts == (1, 3) == oracle_best_allocation((1.0, 4.0), INF, 4)
+
+    @given(
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=6),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from([1.0, 2.0, INF]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_arm_counted(self, variances, extra, p):
+        horizon = len(variances) + extra
+        plan = optimal_allocation(VarianceProfile(tuple(variances)), p, horizon)
+        assert sum(plan.counts) == horizon and min(plan.counts) >= 1
+
 
 class TestObjectiveAndRegret:
     def test_infinity_matches_closed_form(self):
@@ -182,6 +198,11 @@ class TestWeights:
             assert plugin_weights(variances, q).tolist() == want
             plan = optimal_allocation(VarianceProfile(tuple(variances)), 2.0, 100)
             assert list(plan.fractions) == want
+
+    def test_plugin_weights_past_the_float_range(self):
+        # each power is finite, their sum is not
+        assert plugin_weights((1e308, 1e308), 2.0).tolist() == [0.5, 0.5]
+        np.testing.assert_allclose(plugin_weights((1e308, 1e308, 2e307), 2.0), (5 / 11, 5 / 11, 1 / 11))
 
     def test_plugin_weights_values(self):
         np.testing.assert_allclose(plugin_weights((2.0, 8.0), 2.0), (0.2, 0.8))

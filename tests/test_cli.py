@@ -73,6 +73,17 @@ def test_oracle_at_p_past_half_the_float_range(capsys):
     assert "(2, 8)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, counts",
+    [(["1,4", "--T", "4", "--p", "inf"], "(1, 3)"), (["1e308,1e308", "--T", "10"], "(5, 5)")],
+    ids=["share-below-one-pull", "power-sum-past-the-float-range"],
+)
+def test_oracle_rounds_to_the_exhaustive_optimum(argv, counts, capsys):
+    assert main(["oracle", *argv]) == 0
+    out = capsys.readouterr().out
+    assert f"exhaustive optimum : {counts}" in out and f"rounded closed form: {counts}" in out
+
+
 def test_slopes_from_csv(config_path, tmp_path, capsys):
     out = str(tmp_path / "rows.csv")
     main(["simulate", config_path, "--output", out,
@@ -182,6 +193,14 @@ BAD_VALUE_INIS = {
         "num_arms", _ini(policy="contextual", extra="[contextual]\nnum_arms = 0\ndim = 2")
     ),
     "dim": ("dim", _ini(policy="contextual", extra="[contextual]\nnum_arms = 2\ndim = -1")),
+    "dim-above-horizon": (
+        "dim", _ini(policy="contextual", extra="[contextual]\nnum_arms = 2\ndim = 1000000")
+    ),
+    "dim-past-float": (
+        "dim", _ini(policy="contextual", extra=f"[contextual]\nnum_arms = 2\ndim = {10**400}")
+    ),
+    "horizons-past-float": ("horizons", _ini(policy="contextual", extra=CONTEXTUAL,
+                                             horizons=f"400 {10**400}")),
     "noise_variances-zero": (
         "noise_variances",
         _ini(policy="contextual", extra=CONTEXTUAL + "noise_variances = uniform 0 4"),

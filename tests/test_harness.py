@@ -303,6 +303,15 @@ means = 0 0
         with pytest.raises(ConfigurationError, match=r"\bhorizons\b"):
             dataclasses.replace(cfg, horizons=(cfg.horizons[0], horizon))
 
+    def test_dim_checked_before_any_draw(self, monkeypatch):
+        # the horizon must cover max(2, dim) pulls per arm; a dim past that is
+        # rejected before a (num_arms, dim) beta array is drawn
+        monkeypatch.setattr(harness, "_policy_config", lambda *args: pytest.fail("drew"))
+        for dim in (10**12, 10**400):
+            with pytest.raises(ConfigurationError, match=r"\bdim\b"):
+                ExperimentConfig(policy="contextual", horizons=(400,), p=1.0, regime="ssg",
+                                 num_arms=2, dim=dim)
+
     def test_drawn_values_checked_at_both_ends(self):
         # a trial draws each noise variance from its range; construction checks
         # both ends, so no trial can draw a variance a check would reject
