@@ -1,10 +1,11 @@
 """Reward and context distributions with deterministic seeded sampling.
 
 Every sampler is an immutable spec plus a caller-owned numpy Generator, so
-the full draw sequence is a pure function of (spec, seed).  Environments
-give each arm its own independent substream split from a master seed,
-which makes an arm's i-th pull invariant to the order in which arms are
-pulled.
+the full draw sequence is a pure function of (spec, seed).  An environment
+draws everything from one Generator, `default_rng(seed)`, in pull order: its
+rewards, and a contextual environment's contexts too.  Each arm's rewards are
+i.i.d. and independent of the other arms', but an arm's i-th pull depends on
+the pulls made before it, so a (config, seed) pair fixes one exact trace.
 
 Both environments answer a pull of m rounds with a summary of what those
 rounds observed, never the raw draws: the canonical one with the exact
@@ -143,19 +144,15 @@ def sample_context(spec: ContextSpec, rng: np.random.Generator, size: int) -> np
     return rng.uniform(-half, half, (size, spec.dimension))
 
 
-def _substreams(seed, count: int) -> list[np.random.Generator]:
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(count)]
-
-
 class CanonicalEnv:
-    """Sequential reward environment over K arms, one RNG substream per arm."""
+    """Sequential reward environment over K arms, all drawn from one Generator
+    seeded with `seed`: an int, a SeedSequence, or a Generator used as it is."""
 
     def __init__(self, arms: list[ArmSpec], seed):
         if not arms:
             raise ConfigurationError("environment needs at least one arm")
         self.arms = list(arms)
-        self._rngs = _substreams(seed, len(arms))
+        self._rng = np.random.default_rng(seed)
 
     @property
     def true_variances(self) -> list[float]:
@@ -168,7 +165,7 @@ class CanonicalEnv:
         by Cochran's theorem.  Rademacher: b ~ Binomial(m, 1/2) of the m
         rewards are +1, so the mean is mu + (2b - m)/m and m2 is 4b(m - b)/m.
         """
-        arm, rng = self.arms[k], self._rngs[k]
+        arm, rng = self.arms[k], self._rng
         if arm.family == Family.GAUSSIAN:
             mean = arm.mean + math.sqrt(arm.variance / m) * rng.standard_normal()
             m2 = arm.variance * rng.chisquare(m - 1) if m > 1 else 0.0
@@ -180,13 +177,15 @@ class CanonicalEnv:
 
 
 class ContextualEnv:
-    """Linear-reward environment: shared context stream, per-arm noise streams.
+    """Linear-reward environment: contexts and noise from one Generator.
 
     Arm k's reward is its context times `betas[k]` plus a draw from
     `noise_arms[k]`, a mean-zero `ArmSpec` whose variance is the arm's true
     variance.  The context at round t is consumed in round order regardless
-    of which arm was committed, matching the decide-then-observe protocol.  A
-    pre-drawn context array can be injected for replay tests.
+    of which arm was committed, matching the decide-then-observe protocol; a
+    pull of m rounds draws its m contexts, then its m noise values, from the
+    Generator seeded as `CanonicalEnv`'s.  A pre-drawn context array can be
+    injected for replay tests; the Generator then draws only noise.
     """
 
     def __init__(
@@ -208,9 +207,7 @@ class ContextualEnv:
         self.betas = betas
         self.spec = context_spec
         self.noise_arms = list(noise_arms)
-        streams = _substreams(seed, len(noise_arms) + 1)
-        self._ctx_rng = streams[0]
-        self._noise_rngs = streams[1:]
+        self._rng = np.random.default_rng(seed)
         self._scripted = None if contexts is None else np.asarray(contexts, dtype=float)
         if self._scripted is not None and self._scripted.shape[1:] != (context_spec.dimension,):
             raise ConfigurationError(
@@ -229,7 +226,7 @@ class ContextualEnv:
                 raise ContractViolation("scripted context sequence exhausted")
             out = self._scripted[self._round : self._round + m]
         else:
-            out = sample_context(self.spec, self._ctx_rng, m)
+            out = sample_context(self.spec, self._rng, m)
         self._round += m
         return out
 
@@ -237,6 +234,6 @@ class ContextualEnv:
         """Commit arm k for the next m rounds; returns the `RidgeState`
         summary of those rounds' (context, reward) rows."""
         ctx = self._next_contexts(m)
-        rewards = ctx @ self.betas[k] + sample_reward(self.noise_arms[k], self._noise_rngs[k], m)
+        rewards = ctx @ self.betas[k] + sample_reward(self.noise_arms[k], self._rng, m)
         return RidgeState.of(ctx, rewards, self.spec.lambda_min)
 

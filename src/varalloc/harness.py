@@ -399,15 +399,14 @@ def _policy_config(cfg: ExperimentConfig, horizon: int, rng) -> PolicyConfig:
 
 
 def _run_one(cfg: ExperimentConfig, horizon: int, trial: int) -> Row:
-    entropy = np.random.SeedSequence([cfg.seed, horizon, trial])
-    model_seq, env_seq = entropy.spawn(2)
-    rng = np.random.default_rng(model_seq)
+    # one stream per run: the trial's draws, then every pull of its environment
+    rng = np.random.default_rng([cfg.seed, horizon, trial])
 
     start = time.perf_counter()
     policy_cfg = _policy_config(cfg, horizon, rng)
     # the environment is built and the entry looked up here, so that a wrapper
     # set on this module's run_* names sees every run and times only the run
-    env = policy_cfg.environment(env_seq)
+    env = policy_cfg.environment(rng)
     run = {"nonadaptive": run_nonadaptive, "adaptive": run_adaptive, "contextual": run_contextual}
     trace = run[cfg.policy](policy_cfg, env)
     runtime_ms = round(1000.0 * (time.perf_counter() - start), 3)

@@ -110,8 +110,9 @@ class PolicyConfig:
         return len(self.arms)
 
     def environment(self, seed=None):
-        """The environment this config runs in, seeded with `seed`, an int or
-        a SeedSequence, or by default with `self.seed`."""
+        """The environment this config runs in, drawing from one Generator:
+        `seed` itself when it is a Generator, else `default_rng(seed)` for an
+        int or a SeedSequence, by default `self.seed`."""
         seed = self.seed if seed is None else seed
         if self.context_spec is None:
             return CanonicalEnv(self.arms, seed)

@@ -148,8 +148,9 @@ def _check_share_function(rng, failures: list[str], tag: str):
 
 def _check_context_commitment(cfg: PolicyConfig, failures: list[str], tag: str):
     """Replaying with permuted future contexts must not change earlier commits.
-    Returns the two traces it ran."""
-    contexts = sample_context(cfg.context_spec, np.random.default_rng(cfg.seed), cfg.horizon)
+    Returns the two traces it ran.  The contexts are seeded apart from the
+    env, whose one stream, seeded with `cfg.seed`, draws the noise."""
+    contexts = sample_context(cfg.context_spec, np.random.default_rng([cfg.seed, 1]), cfg.horizon)
     cut = cfg.horizon // 2
 
     def env_with(ctx):

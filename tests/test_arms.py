@@ -64,14 +64,12 @@ def test_seeded_determinism():
     np.testing.assert_array_equal(a, b)
 
 
-def test_arm_substreams_invariant_to_pull_order():
-    arms = [gaussian_arm(0, 1), gaussian_arm(0, 4)]
-    env_a = CanonicalEnv(arms, 42)
-    env_b = CanonicalEnv(arms, 42)
-    first_a = env_a.pull(0, 5)
-    env_b.pull(1, 3)  # interleave the other arm first
-    first_b = env_b.pull(0, 5)
-    np.testing.assert_array_equal(first_a, first_b)
+def test_pulls_draw_from_one_stream_in_pull_order():
+    # an env seeded with 42 draws what default_rng(42) draws, one pull after another
+    arms = [symmetric_beta_arm(0.0, 1.0), symmetric_beta_arm(0.5, 2.0)]
+    env, rng = CanonicalEnv(arms, 42), np.random.default_rng(42)
+    for k, m in [(0, 5), (1, 3)]:
+        assert env.pull(k, m) == RunningMoments.of(sample_reward(arms[k], rng, m))
 
 
 @pytest.mark.parametrize(
@@ -142,7 +140,7 @@ def test_contextual_env_inner_product():
     arm = gaussian_arm(0.0, 1.0)
     env = ContextualEnv(betas, ContextSpec(dimension=2), [arm], 0, contexts=[[3.0, 1.0]])
     state = env.pull(0, 1)
-    noise = np.random.default_rng(np.random.SeedSequence(0).spawn(2)[1])  # arm 0's stream
+    noise = np.random.default_rng(0)  # scripted contexts leave the env's stream to the noise
     reward = 5.0 + float(sample_reward(arm, noise, 1)[0])  # the inner product 5 plus noise
     assert state.xty.tolist() == [3.0 * reward, reward]  # the context times its reward
 
@@ -177,9 +175,9 @@ def test_contextual_env_linear_rewards():
     arm = gaussian_arm(0.0, 1.0)
     env = ContextualEnv(betas, ContextSpec(dimension=2), [arm], 0)
     state = env.pull(0, 100)
-    streams = np.random.SeedSequence(0).spawn(2)  # the context stream, then arm 0's
-    contexts = sample_context(ContextSpec(dimension=2), np.random.default_rng(streams[0]), 100)
-    noise = sample_reward(arm, np.random.default_rng(streams[1]), 100)
+    rng = np.random.default_rng(0)  # one stream: a pull's contexts, then its noise
+    contexts = sample_context(ContextSpec(dimension=2), rng, 100)
+    noise = sample_reward(arm, rng, 100)
     # X'y = X'X beta + X'e
     np.testing.assert_allclose(state.xty, state.gram @ betas[0] + contexts.T @ noise)
 
@@ -191,11 +189,10 @@ def test_contextual_pull_summarizes_its_rows():
     arm, other = gaussian_arm(0.0, 2.0), gaussian_arm(0.0, 0.5)
     env = ContextualEnv(betas, spec, [arm, other], 7, contexts=contexts)
     got = [env.pull(0, 5), env.pull(1, 4), env.pull(0, 3)]
-    streams = np.random.SeedSequence(7).spawn(3)  # the context stream, then one per arm
-    noise, other_noise = (np.random.default_rng(s) for s in streams[1:])
+    noise = np.random.default_rng(7)  # every arm's noise, in pull order
     rows = [
         (contexts[:5], contexts[:5] @ betas[0] + sample_reward(arm, noise, 5)),
-        (contexts[5:9], contexts[5:9] @ betas[1] + sample_reward(other, other_noise, 4)),
+        (contexts[5:9], contexts[5:9] @ betas[1] + sample_reward(other, noise, 4)),
         (contexts[9:], contexts[9:] @ betas[0] + sample_reward(arm, noise, 3)),
     ]
     for state, (ctx, rewards) in zip(got, rows):
@@ -268,7 +265,7 @@ def test_rademacher_summary_formula_matches_two_pass(m):
     arm = rademacher_arm(0.25)
     draws = sample_reward(arm, np.random.default_rng(m), m)
     env = CanonicalEnv([arm], 0)
-    env._rngs[0] = _FixedBinomial(int((draws > arm.mean).sum()))
+    env._rng = _FixedBinomial(int((draws > arm.mean).sum()))
     got, want = env.pull(0, m), RunningMoments.of(draws)
     assert got.n == want.n
     assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-12)
@@ -278,5 +275,4 @@ def test_rademacher_summary_formula_matches_two_pass(m):
 def test_beta_pull_summarizes_raw_draws():
     arm = symmetric_beta_arm(0.2, 1.5)
     got = CanonicalEnv([arm], 8).pull(0, 40)
-    rng = np.random.SeedSequence(8).spawn(1)[0]
-    assert got == RunningMoments.of(sample_reward(arm, np.random.default_rng(rng), 40))
+    assert got == RunningMoments.of(sample_reward(arm, np.random.default_rng(8), 40))

@@ -25,6 +25,7 @@ from varalloc.harness import (
     summarize,
 )
 from varalloc.errors import ConfigurationError
+from varalloc.policies import run_adaptive, run_contextual
 
 INF = math.inf
 
@@ -242,6 +243,42 @@ class TestRunExperiment:
         ranks = np.argsort(np.argsort(means))
         rho = np.corrcoef(np.arange(len(means)), ranks)[0, 1]
         assert rho < -0.9
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _count_generators(monkeypatch) -> list:
+    """Count the PCG64 bit generators built from here on, by default_rng or directly."""
+    built = []
+
+    class Counting(np.random.PCG64):
+        def __init__(self, seed=None):
+            built.append(self)
+            super().__init__(seed)
+
+    def default_rng(seed=None):  # numpy's, routed through the counting PCG64
+        return seed if isinstance(seed, np.random.Generator) else np.random.Generator(Counting(seed))
+
+    monkeypatch.setattr(np.random, "PCG64", Counting)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return built
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in CONFIG_DIR.glob("*.ini")))
+def test_one_generator_per_run(stem, monkeypatch):
+    # a run's fixed cost: its trial draws, its environment and its policy share one stream
+    cfg = load_config(str(CONFIG_DIR / f"{stem}.ini"))
+    policy_cfg = harness._policy_config(cfg, cfg.horizons[0], np.random.default_rng(0))
+    built = _count_generators(monkeypatch)
+    harness._run_one(cfg, cfg.horizons[0], 0)
+    assert len(built) == 1
+    policy_cfg.environment(5)
+    assert len(built) == 2
+    run = run_adaptive if policy_cfg.context_spec is None else run_contextual
+    run(policy_cfg)  # builds its environment from the config's seed
+    assert len(built) == 3
+
 
 
 class TestConfigFile:

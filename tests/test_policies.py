@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import varalloc
-from varalloc import policies
+from varalloc import policies, selftest
 from varalloc.arms import (
-    CanonicalEnv, ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm,
+    CanonicalEnv, ContextSpec, ContextualEnv, NoiseRegime, Regime, gaussian_arm, sample_context,
 )
 from varalloc.concentration import delta_schedule, interval
 from varalloc.errors import ConfigurationError, ContractViolation
@@ -229,11 +229,13 @@ def test_horizon_past_2_53_rejected():
 
 
 @pytest.mark.parametrize(
-    "make_seed", [None, lambda: 7, lambda: np.random.SeedSequence([7, 400, 1])],
-    ids=["default", "int", "SeedSequence"],
+    "make_seed",
+    [None, lambda: 7, lambda: np.random.SeedSequence([7, 400, 1]),
+     lambda: np.random.default_rng([7, 400, 1])],
+    ids=["default", "int", "SeedSequence", "Generator"],
 )
 def test_environment_draws_what_a_direct_env_draws(make_seed):
-    # a SeedSequence is spent by spawning, so each side gets a fresh one
+    # a Generator is used as it is and advanced by the pulls, so each side gets a fresh one
     seed = make_seed or (lambda: 3)
     canonical = _gaussian_cfg((1.0, 2.0), 400, seed=3)
     contextual = _contextual_cfg(400, seed=3)
@@ -314,6 +316,26 @@ class TestContextual:
 
         assert expand(trace_a.pull_order)[:cut] == expand(trace_b.pull_order)[:cut]
 
+    def test_selftest_scripts_contexts_apart_from_the_noise(self, monkeypatch):
+        # the commitment check scripts its contexts and seeds the env with the
+        # config's seed; the env's one stream must not be the one that drew the
+        # contexts, or its noise would reuse the contexts' random bits
+        built = []
+
+        class Recording(ContextualEnv):
+            def __init__(self, betas, spec, arms, seed, contexts=None):
+                built.append((seed, contexts))
+                super().__init__(betas, spec, arms, seed, contexts=contexts)
+
+        monkeypatch.setattr(selftest, "ContextualEnv", Recording)
+        cfg, _ = selftest._random_contextual_cfg(np.random.default_rng(3))
+        failures = []
+        selftest._check_context_commitment(cfg, failures, "config")
+        assert failures == [] and len(built) == 2
+        seed, contexts = built[0]
+        replay = sample_context(cfg.context_spec, np.random.default_rng(seed), len(contexts))
+        assert not np.array_equal(replay, contexts)
+
     def test_floored_ridge_penalty_reaches_trace(self):
         # the second context coordinate is always 0, so every Gram matrix is
         # singular and the penalty 1e-12 / n cannot be solved at; the run
@@ -343,10 +365,10 @@ PINNED = {
             )
         ),
         dict(
-            counts=(54, 85, 161),
+            counts=(63, 68, 169),
             phase1_ends=(50, 50, 50),
             stopping_times=(50, 50, 50),
-            pull_order=((0, 50), (1, 50), (2, 161), (1, 35), (0, 4)),
+            pull_order=((0, 50), (1, 50), (2, 169), (1, 18), (0, 13)),
             truncated=False,
             budget_clamped=False,
             good_event_held=True,
@@ -355,10 +377,10 @@ PINNED = {
     "adaptive-ssg": (
         lambda: run_adaptive(_gaussian_cfg((1.0, 3.0), 1500, p=1.0, seed=21)),
         dict(
-            counts=(523, 977),
+            counts=(551, 949),
             phase1_ends=(235, 235),
             stopping_times=(235, 235),
-            pull_order=((0, 132), (1, 132), (0, 103), (1, 845), (0, 288)),
+            pull_order=((0, 132), (1, 132), (0, 103), (1, 817), (0, 316)),
             truncated=False,
             budget_clamped=False,
             good_event_held=True,
@@ -367,12 +389,11 @@ PINNED = {
     "adaptive-gaussian": (
         lambda: run_adaptive(_gaussian_cfg((1.0, 3.0), 1500, regime=Regime.GAUSSIAN, seed=22)),
         dict(
-            counts=(372, 1128),
+            counts=(310, 1190),
             phase1_ends=(132, 132),
-            stopping_times=(182, 747),
+            stopping_times=(139, 756),
             pull_order=(
-                (0, 132), (1, 528), (0, 20), (1, 116), (0, 18), (1, 43), (0, 5),
-                (1, 41), (0, 6), (1, 17), (0, 1), (1, 383), (0, 190),
+                (0, 132), (1, 722), (0, 2), (1, 18), (0, 1), (1, 11), (0, 4), (1, 439), (0, 171),
             ),
             truncated=False,
             budget_clamped=False,
@@ -387,11 +408,11 @@ PINNED = {
             )
         ),
         dict(
-            counts=(222, 350, 628),
+            counts=(194, 414, 592),
             phase1_ends=(186, 186, 186),
             stopping_times=(186, 186, 186),
             pull_order=(
-                (0, 171), (1, 171), (2, 171), (0, 15), (1, 15), (2, 457), (1, 164), (0, 36),
+                (0, 171), (1, 171), (2, 171), (0, 15), (1, 15), (2, 421), (1, 228), (0, 8),
             ),
             truncated=False,
             budget_clamped=False,
