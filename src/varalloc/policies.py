@@ -123,12 +123,11 @@ def check_horizon(horizon: int, num_arms: int, dim: int | None = None):
     """Reject a horizon that cannot hold every arm's first pulls, 2 for a
     sample variance and max(2, dim) for a ridge state, or that the objective's
     float counts cannot hold.  Integer arithmetic only, so any int is checked."""
-    if dim is None and horizon < 2 * num_arms:
-        raise ConfigurationError(f"horizon {horizon} too small for {num_arms} arms (need >= 2K)")
-    if dim is not None and horizon < max(2, dim) * num_arms:
+    first = 2 if dim is None else max(2, dim)
+    if horizon < first * num_arms:
+        of_dim = "" if dim is None else f" of dim {dim}"
         raise ConfigurationError(
-            f"horizon {horizon} too small for {num_arms} arms of dim {dim} "
-            "(need >= max(2, dim) * K)"
+            f"horizon {horizon} too small for {num_arms} arms{of_dim} (need >= {first}K)"
         )
     if horizon > _MAX_HORIZON:
         raise ConfigurationError(f"horizon {horizon} exceeds 2**53")

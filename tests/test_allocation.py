@@ -72,11 +72,6 @@ class TestOptimalAllocation:
         )
         assert base.fractions == pytest.approx(scaled.fractions, rel=1e-9)
 
-    def test_small_share_still_counted(self):
-        # the share 0.2 of T = 4 floors to 0; every arm keeps one pull when T >= K
-        plan = optimal_allocation(VarianceProfile((1.0, 4.0)), INF, 4)
-        assert plan.counts == (1, 3) == oracle_best_allocation((1.0, 4.0), INF, 4)
-
     @given(
         st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=6),
         st.integers(min_value=0, max_value=12),
@@ -84,6 +79,7 @@ class TestOptimalAllocation:
     )
     @settings(max_examples=200, deadline=None)
     def test_every_arm_counted(self, variances, extra, p):
+        # a share below 1/T floors to 0 pulls; every arm keeps one when T >= K
         horizon = len(variances) + extra
         plan = optimal_allocation(VarianceProfile(tuple(variances)), p, horizon)
         assert sum(plan.counts) == horizon and min(plan.counts) >= 1
@@ -202,7 +198,8 @@ class TestWeights:
     def test_plugin_weights_past_the_float_range(self):
         # each power is finite, their sum is not
         assert plugin_weights((1e308, 1e308), 2.0).tolist() == [0.5, 0.5]
-        np.testing.assert_allclose(plugin_weights((1e308, 1e308, 2e307), 2.0), (5 / 11, 5 / 11, 1 / 11))
+        want = (5 / 11, 5 / 11, 1 / 11)
+        np.testing.assert_allclose(plugin_weights((1e308, 1e308, 2e307), 2.0), want)
 
     def test_plugin_weights_values(self):
         np.testing.assert_allclose(plugin_weights((2.0, 8.0), 2.0), (0.2, 0.8))

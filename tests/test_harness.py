@@ -258,7 +258,9 @@ def _count_generators(monkeypatch) -> list:
             super().__init__(seed)
 
     def default_rng(seed=None):  # numpy's, routed through the counting PCG64
-        return seed if isinstance(seed, np.random.Generator) else np.random.Generator(Counting(seed))
+        if isinstance(seed, np.random.Generator):
+            return seed
+        return np.random.Generator(Counting(seed))
 
     monkeypatch.setattr(np.random, "PCG64", Counting)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
@@ -278,7 +280,6 @@ def test_one_generator_per_run(stem, monkeypatch):
     run = run_adaptive if policy_cfg.context_spec is None else run_contextual
     run(policy_cfg)  # builds its environment from the config's seed
     assert len(built) == 3
-
 
 
 class TestConfigFile:
