@@ -204,8 +204,12 @@ def adaptive_weight(lcb_k: float, ucb_others, q: float) -> float:
     if any(u <= 0 for u in others):
         raise ContractViolation("ucb values must be positive")
     half = q / 2.0
-    own = lcb_k**half
-    total = own + _plain_sum(u**half for u in others)
+    own, powers = lcb_k**half, [u**half for u in others]
+    total = own + _plain_sum(powers)
+    # finite powers whose sum passes the float range are divided by the largest
+    # first, as in `plugin_weights`; a one-sided ucb is inf and gives a share of 0
+    if total == math.inf and (top := max([own, *powers])) < math.inf:
+        own, total = own / top, own / top + _plain_sum(x / top for x in powers)
     return float(own / total) if total > 0.0 else math.nan  # 0/0: a lone arm at lcb 0
 
 

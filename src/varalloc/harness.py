@@ -278,6 +278,14 @@ class ExperimentConfig:
                 )
             if Family.SYMMETRIC_BETA in self.families and self.beta_shapes is None:
                 raise ConfigurationError("symmetric_beta arms need beta_shapes")
+            # An arm's m2 is v * chi2(n - 1) with n <= T, and chi2_k >= 2k + 3x has
+            # probability at most e^-x (Laurent and Massart); at x = 750 that is
+            # below the smallest double, so m2 stays under v * (2T + 2250).
+            top = max(self.variances)
+            if 0 < top < math.inf and not math.isfinite(top * (2.0 * horizons[-1] + 2250.0)):
+                raise ConfigurationError(
+                    f"variances: {top:g} overflows a sum of squares over {horizons[-1]} pulls"
+                )
         templates = [_policy_config(self, horizons[0], _RangeEnd(high)) for high in (False, True)]
         _keyed("horizons", _policy_config, self, horizons[-1], _RangeEnd(False))
         for arm, listed in zip(templates[0].arms, self.variances or ()):

@@ -23,7 +23,7 @@ its own count and `variance()`, with ucb = inf while it is one-sided.
 `_phase1_ok`, lcb > 0 and ucb < inf, is the one rule by which an arm leaves
 the first phase.  Under SSG or Gaussian noise any positive estimate passes it
 from `_phase1_threshold` on, the first n that passes at unit variance; that n
-is memoized per (regime, delta), and failing arms top up to it in one pull each.
+is memoized per (regime, delta), and an adaptive run's first segments reach it.
 """
 
 from __future__ import annotations
@@ -120,10 +120,9 @@ class PolicyConfig:
 
 
 def check_horizon(horizon: int, num_arms: int, dim: int | None = None):
-    """Reject a horizon that cannot hold every arm's first pulls, 2 for a
-    sample variance and max(2, dim) for a ridge state, or that the objective's
-    float counts cannot hold.  Integer arithmetic only, so any int is checked."""
-    first = 2 if dim is None else max(2, dim)
+    """Reject a horizon below K times `_first_pulls` or past the objective's float
+    counts, 2**53.  Integer arithmetic only, so any int is checked."""
+    first = _first_pulls(dim)
     if horizon < first * num_arms:
         of_dim = "" if dim is None else f" of dim {dim}"
         raise ConfigurationError(
@@ -131,6 +130,11 @@ def check_horizon(horizon: int, num_arms: int, dim: int | None = None):
         )
     if horizon > _MAX_HORIZON:
         raise ConfigurationError(f"horizon {horizon} exceeds 2**53")
+
+
+def _first_pulls(dim: int | None) -> int:
+    """Pulls an arm needs first: 2 for a sample variance, max(2, dim) for a ridge state."""
+    return 2 if dim is None else max(2, dim)
 
 
 @dataclass
@@ -203,8 +207,7 @@ def _phase1_threshold(regime: Regime, delta: float) -> int | None:
 class _Run:
     """One policy run's state, in `env`, or by default in `cfg.environment()`.
     `good` is the good event, whether every interval so far held its arm's
-    true variance; `seed_pulls` is what every arm gets before the first phase,
-    `objective_scale` the objective's factor."""
+    true variance; `objective_scale` is the objective's factor."""
 
     def __init__(self, cfg: PolicyConfig, env, adaptive: bool):
         spec = cfg.context_spec
@@ -213,10 +216,9 @@ class _Run:
         self.adaptive = adaptive
         if spec is None:
             self.stats = [RunningMoments() for _ in cfg.arms]
-            self.seed_pulls, self.objective_scale = 0, 1.0
-        else:  # a ridge state is solvable from d rows
+            self.objective_scale = 1.0
+        else:
             self.stats = [RidgeState(spec.dimension, spec.lambda_min) for _ in cfg.arms]
-            self.seed_pulls = spec.dimension
             self.objective_scale = 2.0 * spec.dimension / spec.lambda_min
         self.budget = cfg.horizon
         self.pulls = [0] * cfg.num_arms
@@ -249,38 +251,26 @@ class _Run:
 
 
 def _phase1(run: _Run) -> tuple[list[int], bool]:
-    """Initial pulls; the adaptive policy then tops arms up until every
-    phase-1 check passes.  Returns the counts and whether the budget ran out
-    before every arm passed."""
+    """Each arm's first phase in one segment, from the known floor or
+    `phase1_length`, raised to the pass threshold in adaptive runs, kept between
+    the first pulls and T // K; failing adaptive arms then take one pull per
+    round.  Returns the counts and whether the budget ran out first."""
     cfg, k_arms, horizon = run.cfg, run.cfg.num_arms, run.cfg.horizon
     if cfg.lower_bound is not None:
         start = tau_nonadaptive(cfg.lower_bound, cfg.regime.sigma_sq_proxy, k_arms, horizon, run.q)
     else:
         start = phase1_length(cfg.regime, horizon, k_arms)
-    seed = min(run.seed_pulls, horizon // k_arms)
-    start = max(2, seed, min(start, horizon // k_arms))
+    if run.adaptive:
+        start = max(start, _phase1_threshold(cfg.regime.regime, run.delta) or 0)
+    dim = None if cfg.context_spec is None else cfg.context_spec.dimension
+    start = max(_first_pulls(dim), min(start, horizon // k_arms))
     for k in range(k_arms):
-        run.draw(k, seed)
-    for k in range(k_arms):
-        run.draw(k, start - run.pulls[k])
+        run.draw(k, start)
     ok = lambda k: _phase1_ok(*run.interval(k))
-    failing = [k for k in range(k_arms) if not ok(k)]
-    if not run.adaptive:  # fixed length: the checks above only record the good event
-        return run.pulls.copy(), False
-    # A failing arm jumps straight to the first n that can pass, when that n
-    # is known and the budget covers every failing arm's gap; otherwise it
-    # takes one pull per round, so a starved run splits its pulls evenly.
-    n_star = _phase1_threshold(cfg.regime.regime, run.delta) or 0
-    while failing and run.budget > 0:
-        steps = [max(1, n_star - run.pulls[k]) for k in failing]
-        if sum(steps) > run.budget:
-            steps = [1] * len(failing)
-        still = []
-        for k, step in zip(failing, steps):
-            if run.draw(k, step) == 0 or not ok(k):
-                still.append(k)
-        failing = still
-    return run.pulls.copy(), bool(failing)
+    failing = [k for k in range(k_arms) if not ok(k)]  # non-adaptive: the good event only
+    while run.adaptive and failing and run.budget > 0:
+        failing = [k for k in failing if run.draw(k, 1) == 0 or not ok(k)]
+    return run.pulls.copy(), run.adaptive and bool(failing)
 
 
 def _phase2(run: _Run) -> tuple[list[int], bool]:

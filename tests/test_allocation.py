@@ -201,6 +201,12 @@ class TestWeights:
         want = (5 / 11, 5 / 11, 1 / 11)
         np.testing.assert_allclose(plugin_weights((1e308, 1e308, 2e307), 2.0), want)
 
+    def test_adaptive_weight_past_the_float_range(self):
+        # each power is finite, their sum is not; a one-sided ucb still gives 0
+        assert adaptive_weight(1e308, [1e308], 2.0) == 0.5
+        assert adaptive_weight(1e308, [1e308, 2e307], 2.0) == pytest.approx(5 / 11)
+        assert adaptive_weight(1e308, [1e308, math.inf], 2.0) == 0.0
+
     def test_plugin_weights_values(self):
         np.testing.assert_allclose(plugin_weights((2.0, 8.0), 2.0), (0.2, 0.8))
         np.testing.assert_allclose(plugin_weights((5.0, 5.0), 1.0), (0.5, 0.5))

@@ -108,7 +108,7 @@ def test_selftest_trace_digest_pinned(capsys):
     # random stream re-pins it
     assert main(["selftest", "--configs", "200", "--seed", "2024"]) == 0
     digest = re.search(r"trace digest ([0-9a-f]{64})$", capsys.readouterr().out.strip()).group(1)
-    assert digest == "b225c659a11f88af35cb554c2028d0873c9579163dba04c7281105af844c50db"
+    assert digest == "ec661cc9c460bff607b035c2eeb53d22230121678871316a8a22dc2bea6f321c"
 
 
 def test_configuration_error_exit_code(tmp_path):
@@ -287,7 +287,7 @@ GRID_FLOAT_KEYS = {
     "p", "variances", "means", "lower_bound", "proxy",
     "lambda_min", "beta_low", "beta_high", "noise_variances",
 }
-GRID_MAGNITUDES = tuple(f"1e{sign}{exponent}" for sign in "+-" for exponent in (1, 50, 150, 200, 300))
+GRID_MAGNITUDES = tuple(f"1e{sign}{exponent}" for sign in "+-" for exponent in (1, 50, 150, 200, 300, 306, 308))
 
 
 def _grid_keys(text: str) -> list[str]:

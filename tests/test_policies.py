@@ -377,10 +377,10 @@ PINNED = {
     "adaptive-ssg": (
         lambda: run_adaptive(_gaussian_cfg((1.0, 3.0), 1500, p=1.0, seed=21)),
         dict(
-            counts=(551, 949),
+            counts=(573, 927),
             phase1_ends=(235, 235),
             stopping_times=(235, 235),
-            pull_order=((0, 132), (1, 132), (0, 103), (1, 817), (0, 316)),
+            pull_order=((0, 235), (1, 927), (0, 338)),
             truncated=False,
             budget_clamped=False,
             good_event_held=True,
@@ -408,12 +408,10 @@ PINNED = {
             )
         ),
         dict(
-            counts=(194, 414, 592),
+            counts=(194, 398, 608),
             phase1_ends=(186, 186, 186),
             stopping_times=(186, 186, 186),
-            pull_order=(
-                (0, 171), (1, 171), (2, 171), (0, 15), (1, 15), (2, 421), (1, 228), (0, 8),
-            ),
+            pull_order=((0, 186), (1, 186), (2, 608), (1, 212), (0, 8)),
             truncated=False,
             budget_clamped=False,
             good_event_held=True,
@@ -425,8 +423,7 @@ PINNED = {
             counts=(167, 167, 166),
             phase1_ends=(167, 167, 166),
             stopping_times=(167, 167, 166),
-            pull_order=((0, 2), (1, 2), (2, 2), (0, 98), (1, 98), (2, 98))
-            + ((0, 1), (1, 1), (2, 1)) * 66 + ((0, 1), (1, 1)),
+            pull_order=((0, 166), (1, 166), (2, 166), (0, 1), (1, 1)),
             truncated=True,
             budget_clamped=True,
             good_event_held=True,
@@ -538,13 +535,29 @@ class TestPhase1Threshold:
         assert trace.phase1_ends == (max(start, n_star),) * len(variances)
 
     def test_starved_run_keeps_round_robin(self):
-        # the budget cannot carry every arm to the threshold, so phase 1 tops
-        # up one pull per arm per round until it runs out
+        # the budget cannot carry every arm to the threshold, so phase 1 ends
+        # at T // K pulls each
         cfg = _gaussian_cfg((1.0, 2.0, 4.0), 300, p=1.0, proxy=4.0, lower_bound=1.0, seed=5)
         trace = run_adaptive(cfg)
-        assert trace.truncated and trace.counts == (100, 100, 100)
-        start = trace.pull_order[0][1]
-        assert trace.pull_order[3:] == ((0, 1), (1, 1), (2, 1)) * (100 - start)
+        assert trace.truncated
+        assert trace.pull_order == ((0, 100), (1, 100), (2, 100))
+
+    @pytest.mark.parametrize(
+        "policy, make_cfg",
+        [
+            (run_adaptive, lambda: _gaussian_cfg((1.0, 3.0), 1500, p=1.0, seed=21)),
+            (run_contextual, lambda: _contextual_cfg(3000, seed=6)),
+        ],
+        ids=["adaptive-ssg", "contextual"],
+    )
+    def test_first_phase_is_one_segment_per_arm(self, policy, make_cfg):
+        cfg = make_cfg()
+        env, calls = cfg.environment(), []
+        pull = env.pull
+        env.pull = lambda k, m: calls.append((k, m)) or pull(k, m)
+        trace = policy(cfg, env)
+        assert not trace.truncated
+        assert calls[: cfg.num_arms] == list(enumerate(trace.phase1_ends))
 
 
 def test_horizon_is_a_parameter_not_a_loop_count():
